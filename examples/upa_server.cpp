@@ -55,6 +55,9 @@ net::QueryCompiler MakeSqlCompiler(
       }
       return parsed.status();
     }
+    // An unknown column must be refused here: the release pipeline treats
+    // a failing phase run as a bug and aborts the process.
+    UPA_RETURN_IF_ERROR(rel::CheckPlanColumns(parsed.value(), data->catalog()));
     // Cost-based optimization (pushdown + reorder + hints): bit-identical
     // results, so sensitivities and the DP release are unaffected.
     rel::OptimizerOptions opt;

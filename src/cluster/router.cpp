@@ -1,12 +1,5 @@
 #include "cluster/router.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <string.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,24 +11,8 @@
 #include "net/dial.h"
 
 namespace upa::cluster {
-namespace {
 
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Status SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("fcntl(O_NONBLOCK): ") +
-                            ::strerror(errno));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
+using net::NowNanos;
 
 Router::Router(std::vector<ShardAddress> shards, RouterConfig config)
     : shard_addrs_(std::move(shards)),
@@ -59,45 +36,10 @@ Status Router::Start() {
     return Status::InvalidArgument("connection/in-flight caps must be > 0");
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + ::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("unparseable host '" + config_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 128) != 0) {
-    Status st =
-        Status::Internal(std::string("bind/listen: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    Status st =
-        Status::Internal(std::string("getsockname: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  port_ = ntohs(bound.sin_port);
-  if (Status st = SetNonBlocking(listen_fd_); !st.ok()) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
+  Result<net::Listening> listening = net::Listen(config_.host, config_.port);
+  if (!listening.ok()) return listening.status();
+  listen_fd_ = listening.value().fd;
+  port_ = listening.value().port;
 
   links_.resize(shard_addrs_.size());
   for (size_t i = 0; i < shard_addrs_.size(); ++i) {
@@ -120,21 +62,9 @@ Status Router::Start() {
     for (ShardLink& link : links_) StartDial(link);
     loop_.Run();
     // Loop exited: tear everything down on the owning thread.
-    for (auto& [id, conn] : connections_) {
-      loop_.UnregisterFd(conn->fd);
-      ::close(conn->fd);
-    }
     connections_.clear();
-    for (ShardLink& link : links_) {
-      if (link.fd >= 0) {
-        loop_.UnregisterFd(link.fd);
-        ::close(link.fd);
-        link.fd = -1;
-      }
-    }
-    loop_.UnregisterFd(listen_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    for (ShardLink& link : links_) link.conn.reset();
+    if (listen_fd_ >= 0) loop_.CloseFd(listen_fd_);
   });
   return Status::Ok();
 }
@@ -144,7 +74,8 @@ void Router::Stop() {
   stopped_ = true;
   loop_.RunInLoop([this] {
     HandleAccept();
-    loop_.UnregisterFd(listen_fd_);
+    loop_.CloseFd(listen_fd_);
+    listen_fd_ = -1;
   });
   // Drain: give routed queries a chance to come back and flush out.
   int64_t deadline_ns =
@@ -155,8 +86,7 @@ void Router::Stop() {
     loop_.RunInLoop([this, probe] {
       bool quiet = total_inflight_.load(std::memory_order_acquire) == 0;
       for (const auto& [id, conn] : connections_) {
-        if (conn->inflight > 0 ||
-            conn->write_offset < conn->write_buffer.size()) {
+        if (conn.inflight > 0 || conn.io->buffered_output() > 0) {
           quiet = false;
           break;
         }
@@ -230,118 +160,64 @@ std::string Router::StatsText() const {
 }
 
 void Router::HandleAccept() {
-  for (;;) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    int fd =
-        ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (connections_.size() >= config_.max_connections ||
-        !SetNonBlocking(fd).ok()) {
+  for (int fd; (fd = net::Accept(listen_fd_)) >= 0;) {
+    if (connections_.size() >= config_.max_connections) {
       ::close(fd);
       continue;
     }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<ClientConn>(config_.max_frame_bytes);
-    conn->id = id;
-    conn->fd = fd;
-    Status registered = loop_.RegisterFd(
-        fd, /*want_read=*/true, /*want_write=*/false,
-        [this, id](bool readable, bool writable, bool error) {
-          if (error) {
-            CloseClient(id);
-            return;
-          }
-          if (writable) HandleClientWritable(id);
-          if (readable) HandleClientReadable(id);
-        });
-    if (!registered.ok()) {
-      ::close(fd);
-      continue;
-    }
-    connections_[id] = std::move(conn);
+    const uint64_t id = next_conn_id_++;
+    Result<std::unique_ptr<net::FramedConn>> io = net::FramedConn::Open(
+        &loop_, fd, config_.max_frame_bytes, config_.write_buffer_high_bytes,
+        [this, id](bool readable, bool) { HandleClientReady(id, readable); });
+    if (!io.ok()) continue;
+    ClientConn& conn = connections_[id];
+    conn.id = id;
+    conn.io = std::move(io).value();
     accepted_.fetch_add(1, std::memory_order_relaxed);
     open_connections_.store(connections_.size(), std::memory_order_relaxed);
   }
 }
 
-void Router::HandleClientReadable(uint64_t conn_id) {
+void Router::HandleClientReady(uint64_t conn_id, bool readable) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
-  ClientConn& conn = *it->second;
-  if (conn.reads_paused || conn.close_after_flush) return;
-  char buf[64 * 1024];
-  for (;;) {
-    ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.assembler.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      ProcessClientFrames(conn);
-      auto again = connections_.find(conn_id);
-      if (again == connections_.end()) return;
-      if (again->second->reads_paused || again->second->close_after_flush) {
-        return;
-      }
-      continue;
-    }
-    if (n == 0) {
-      CloseClient(conn_id);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    CloseClient(conn_id);
-    return;
-  }
-}
-
-void Router::HandleClientWritable(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  FlushClient(*it->second);
+  if (readable) ProcessClientFrames(it->second);
+  if (!it->second.io->closed()) return;
+  // Routed queries stay in flight on their shards; when the responses
+  // come back the routes resolve to a gone connection and are dropped
+  // (the shard has already released/charged — the client walked away).
+  connections_.erase(it);
+  open_connections_.store(connections_.size(), std::memory_order_relaxed);
 }
 
 void Router::ProcessClientFrames(ClientConn& conn) {
-  const uint64_t conn_id = conn.id;
-  for (;;) {
-    net::Frame frame;
-    Status error = Status::Ok();
-    net::FrameAssembler::Outcome outcome = conn.assembler.Next(&frame, &error);
-    if (outcome == net::FrameAssembler::Outcome::kNeedMore) return;
-    if (outcome == net::FrameAssembler::Outcome::kError) {
-      AbortClient(conn, error);
-      return;
+  net::Frame frame;
+  Status error = Status::Ok();
+  while (error.ok() && conn.io->Next(&frame, &error)) {
+    error = HandleClientFrame(conn, std::move(frame));
+  }
+  if (!error.ok()) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    conn.io->Abort(error);
+  }
+}
+
+Status Router::HandleClientFrame(ClientConn& conn, net::Frame frame) {
+  switch (frame.type) {
+    case net::FrameType::kQueryRequest: {
+      net::WireQuery query;
+      UPA_RETURN_IF_ERROR(net::DecodeQueryPayload(frame.payload, &query));
+      RouteQuery(conn, std::move(query));
+      return Status::Ok();
     }
-    switch (frame.type) {
-      case net::FrameType::kQueryRequest: {
-        net::WireQuery query;
-        Status decoded = net::DecodeQueryPayload(frame.payload, &query);
-        if (!decoded.ok()) {
-          AbortClient(conn, decoded);
-          return;
-        }
-        RouteQuery(conn, std::move(query));
-        break;
-      }
-      case net::FrameType::kStatsRequest: {
-        // The router answers stats itself (its own counters + shard link
-        // states) rather than fanning out to every shard: the dump stays
-        // cheap and available even while shards are down.
-        QueueClientWrite(conn, net::EncodeStatsResponseFrame(StatsText()));
-        break;
-      }
-      default: {
-        AbortClient(conn, Status::InvalidArgument(
-                              "unexpected frame type from client"));
-        return;
-      }
-    }
-    if (connections_.find(conn_id) == connections_.end()) return;
+    case net::FrameType::kStatsRequest:
+      // The router answers stats itself (its own counters + shard link
+      // states) rather than fanning out to every shard: the dump stays
+      // cheap and available even while shards are down.
+      conn.io->Send(net::EncodeStatsResponseFrame(StatsText()));
+      return Status::Ok();
+    default:
+      return Status::InvalidArgument("unexpected frame type from client");
   }
 }
 
@@ -356,7 +232,7 @@ void Router::RouteQuery(ClientConn& conn, net::WireQuery query) {
     result.code = status.code();
     result.message = status.message();
     result.retry_after_ms = status.retry_after_ms();
-    QueueClientWrite(conn, net::EncodeResultFrame(result));
+    conn.io->Send(net::EncodeResultFrame(result));
   };
 
   if (link.state != ShardLink::State::kHealthy) {
@@ -371,8 +247,7 @@ void Router::RouteQuery(ClientConn& conn, net::WireQuery query) {
     return;
   }
   if (link.inflight.size() >= config_.max_inflight_per_shard ||
-      link.write_buffer.size() - link.write_offset >
-          config_.write_buffer_high_bytes) {
+      link.conn->buffered_output() > config_.write_buffer_high_bytes) {
     Status full =
         Status::ResourceExhausted("shard " + std::to_string(shard) +
                                   " is at in-flight capacity; retry");
@@ -396,262 +271,115 @@ void Router::RouteQuery(ClientConn& conn, net::WireQuery query) {
   routed_.fetch_add(1, std::memory_order_relaxed);
   query.client_tag = router_tag;
   link.inflight[router_tag] = std::move(route);
-  QueueShardWrite(link, net::EncodeQueryFrame(query));
+  link.conn->Send(net::EncodeQueryFrame(query));
 }
 
 void Router::RespondToClient(ClientConn& conn,
                              const net::WireResult& result) {
   replies_.fetch_add(1, std::memory_order_relaxed);
-  QueueClientWrite(conn, net::EncodeResultFrame(result));
-}
-
-void Router::QueueClientWrite(ClientConn& conn, std::string bytes) {
-  if (conn.write_buffer.empty()) {
-    conn.write_buffer = std::move(bytes);
-    conn.write_offset = 0;
-  } else {
-    conn.write_buffer += bytes;
-  }
-  FlushClient(conn);
-}
-
-void Router::FlushClient(ClientConn& conn) {
-  const uint64_t conn_id = conn.id;
-  while (conn.write_offset < conn.write_buffer.size()) {
-    ssize_t n = ::send(conn.fd, conn.write_buffer.data() + conn.write_offset,
-                       conn.write_buffer.size() - conn.write_offset,
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.write_offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    CloseClient(conn_id);
-    return;
-  }
-  if (conn.write_offset >= conn.write_buffer.size()) {
-    conn.write_buffer.clear();
-    conn.write_offset = 0;
-    if (conn.close_after_flush) {
-      CloseClient(conn_id);
-      return;
-    }
-  }
-  UpdateClientInterest(conn);
-}
-
-void Router::UpdateClientInterest(ClientConn& conn) {
-  const size_t buffered = conn.write_buffer.size() - conn.write_offset;
-  const bool want_write = buffered > 0;
-  if (buffered > config_.write_buffer_high_bytes) {
-    conn.reads_paused = true;
-  } else if (buffered == 0 && conn.reads_paused) {
-    conn.reads_paused = false;
-  }
-  const bool want_read = !conn.reads_paused && !conn.close_after_flush;
-  (void)loop_.UpdateFd(conn.fd, want_read, want_write);
-}
-
-void Router::AbortClient(ClientConn& conn, const Status& error) {
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  conn.close_after_flush = true;
-  QueueClientWrite(conn, net::EncodeErrorFrame(error));
-}
-
-void Router::CloseClient(uint64_t conn_id) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  loop_.UnregisterFd(it->second->fd);
-  ::close(it->second->fd);
-  // Routed queries stay in flight on their shards; when the responses
-  // come back the routes resolve to a gone connection and are dropped
-  // (the shard has already released/charged — the client walked away).
-  connections_.erase(it);
-  open_connections_.store(connections_.size(), std::memory_order_relaxed);
+  conn.io->Send(net::EncodeResultFrame(result));
 }
 
 void Router::StartDial(ShardLink& link) {
-  Result<int> fd_or = net::StartConnect(link.addr.host, link.addr.port);
   const int64_t now = NowNanos();
-  if (!fd_or.ok()) {
+  Result<int> fd = net::StartConnect(link.addr.host, link.addr.port);
+  if (!fd.ok()) {
     ScheduleRedial(link, now);
     return;
   }
-  link.fd = fd_or.value();
-  link.assembler =
-      std::make_unique<net::FrameAssembler>(config_.max_frame_bytes);
-  link.write_buffer.clear();
-  link.write_offset = 0;
+  const size_t shard = link.index;
+  Result<std::unique_ptr<net::FramedConn>> conn = net::FramedConn::Open(
+      &loop_, fd.value(), config_.max_frame_bytes,
+      net::FramedConn::kNeverPause,
+      [this, shard](bool readable, bool writable) {
+        HandleShardReady(shard, readable, writable);
+      });
+  if (!conn.ok()) {
+    ScheduleRedial(link, now);
+    return;
+  }
+  link.conn = std::move(conn).value();
   link.probe_outstanding = false;
   link.state = ShardLink::State::kConnecting;
   link.dial_deadline_ns =
       now + static_cast<int64_t>(config_.dial_timeout_ms * 1e6);
-  const size_t shard = link.index;
-  Status registered = loop_.RegisterFd(
-      link.fd, /*want_read=*/true, /*want_write=*/true,
-      [this, shard](bool readable, bool writable, bool error) {
-        HandleShardEvent(shard, readable, writable, error);
-      });
-  if (!registered.ok()) {
-    ::close(link.fd);
-    link.fd = -1;
-    ScheduleRedial(link, now);
-  }
 }
 
-void Router::HandleShardEvent(size_t shard, bool readable, bool writable,
-                              bool error) {
+void Router::HandleShardReady(size_t shard, bool readable, bool writable) {
   ShardLink& link = links_[shard];
-  if (link.fd < 0) return;
-  if (error) {
-    FailShard(link, Status::Internal("shard socket error"));
-    return;
-  }
+  Status status = Status::Ok();
   if (link.state == ShardLink::State::kConnecting && writable) {
-    Status finished = net::FinishConnect(link.fd);
-    if (!finished.ok()) {
-      FailShard(link, finished);
-      return;
-    }
-    // Connected; probe before taking traffic. The probe doubles as the
-    // recovery barrier: the shard only answers once its journal replay
-    // finished (the server starts listening after recovery).
-    link.state = ShardLink::State::kProbing;
-    SendProbe(link);
-    return;
-  }
-  if (writable) FlushShard(link);
-  if (link.fd >= 0 && readable) {
-    char buf[64 * 1024];
-    for (;;) {
-      ssize_t n = ::recv(link.fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        link.assembler->Feed(std::string_view(buf, static_cast<size_t>(n)));
-        ProcessShardFrames(link);
-        if (link.fd < 0) return;  // frame processing failed the link
-        continue;
-      }
-      if (n == 0) {
-        FailShard(link, Status::Unavailable("shard closed connection"));
-        return;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      FailShard(link,
-                Status::Internal(std::string("recv: ") + ::strerror(errno)));
-      return;
+    status = net::FinishConnect(link.conn->fd());
+    if (status.ok()) {
+      // Connected; probe before taking traffic. The probe doubles as the
+      // recovery barrier: the shard only answers once its journal replay
+      // finished (the server starts listening after recovery).
+      link.state = ShardLink::State::kProbing;
+      SendProbe(link);
     }
   }
+  if (status.ok() && readable) status = ProcessShardFrames(link);
+  if (status.ok() && link.conn->closed()) {
+    status = Status::Unavailable("shard connection closed");
+  }
+  if (!status.ok()) FailShard(link, status);
 }
 
-void Router::ProcessShardFrames(ShardLink& link) {
-  for (;;) {
-    net::Frame frame;
-    Status error = Status::Ok();
-    net::FrameAssembler::Outcome outcome =
-        link.assembler->Next(&frame, &error);
-    if (outcome == net::FrameAssembler::Outcome::kNeedMore) return;
-    if (outcome == net::FrameAssembler::Outcome::kError) {
-      FailShard(link, error);
-      return;
-    }
-    switch (frame.type) {
-      case net::FrameType::kQueryResponse: {
-        net::WireResult result;
-        Status decoded = net::DecodeResultPayload(frame.payload, &result);
-        if (!decoded.ok()) {
-          FailShard(link, decoded);
-          return;
-        }
-        auto route_it = link.inflight.find(result.client_tag);
-        if (route_it == link.inflight.end()) {
-          // Same rule as the client's stale-tag latch: a response nothing
-          // is waiting for means the stream is desynchronized.
-          FailShard(link, Status::Internal(
-                              "shard response for unknown router tag"));
-          return;
-        }
-        Route route = route_it->second;
-        link.inflight.erase(route_it);
-        total_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        auto conn_it = connections_.find(route.conn_id);
-        if (conn_it != connections_.end()) {
-          ClientConn& conn = *conn_it->second;
-          if (conn.inflight > 0) --conn.inflight;
-          result.client_tag = route.client_tag;
-          RespondToClient(conn, result);
-        }
-        break;
-      }
-      case net::FrameType::kStatsResponse: {
-        link.probe_outstanding = false;
-        if (link.state == ShardLink::State::kProbing) {
-          link.state = ShardLink::State::kHealthy;
-          link.backoff_ms = config_.backoff_initial_ms;
-          healthy_[link.index].store(true, std::memory_order_release);
-          // Recovery barrier passed: the shard answered, so its journal
-          // replay is complete — parked routes can re-send now.
-          FlushParked(link);
-        }
-        break;
-      }
-      case net::FrameType::kError: {
-        Status server_error = Status::Ok();
-        if (!net::DecodeErrorPayload(frame.payload, &server_error).ok()) {
-          server_error = Status::Internal("undecodable shard error frame");
-        }
-        // The shard closes after an error frame; treat as link death.
-        FailShard(link, server_error);
-        return;
-      }
-      default:
-        FailShard(link,
-                  Status::Internal("unexpected frame type from shard"));
-        return;
-    }
-    if (link.fd < 0) return;
+Status Router::ProcessShardFrames(ShardLink& link) {
+  net::Frame frame;
+  Status error = Status::Ok();
+  while (error.ok() && link.conn->Next(&frame, &error)) {
+    error = HandleShardFrame(link, std::move(frame));
   }
+  return error;
 }
 
-void Router::QueueShardWrite(ShardLink& link, std::string bytes) {
-  if (link.write_buffer.empty()) {
-    link.write_buffer = std::move(bytes);
-    link.write_offset = 0;
-  } else {
-    link.write_buffer += bytes;
-  }
-  FlushShard(link);
-}
-
-void Router::FlushShard(ShardLink& link) {
-  while (link.write_offset < link.write_buffer.size()) {
-    ssize_t n =
-        ::send(link.fd, link.write_buffer.data() + link.write_offset,
-               link.write_buffer.size() - link.write_offset, MSG_NOSIGNAL);
-    if (n > 0) {
-      link.write_offset += static_cast<size_t>(n);
-      continue;
+Status Router::HandleShardFrame(ShardLink& link, net::Frame frame) {
+  switch (frame.type) {
+    case net::FrameType::kQueryResponse: {
+      net::WireResult result;
+      UPA_RETURN_IF_ERROR(net::DecodeResultPayload(frame.payload, &result));
+      auto route_it = link.inflight.find(result.client_tag);
+      if (route_it == link.inflight.end()) {
+        // Same rule as the client's stale-tag latch: a response nothing
+        // is waiting for means the stream is desynchronized.
+        return Status::Internal("shard response for unknown router tag");
+      }
+      Route route = route_it->second;
+      link.inflight.erase(route_it);
+      total_inflight_.fetch_sub(1, std::memory_order_acq_rel);
+      auto conn_it = connections_.find(route.conn_id);
+      if (conn_it != connections_.end()) {
+        ClientConn& conn = conn_it->second;
+        if (conn.inflight > 0) --conn.inflight;
+        result.client_tag = route.client_tag;
+        RespondToClient(conn, result);
+      }
+      return Status::Ok();
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    FailShard(link,
-              Status::Internal(std::string("send: ") + ::strerror(errno)));
-    return;
+    case net::FrameType::kStatsResponse:
+      link.probe_outstanding = false;
+      if (link.state == ShardLink::State::kProbing) {
+        link.state = ShardLink::State::kHealthy;
+        link.backoff_ms = config_.backoff_initial_ms;
+        healthy_[link.index].store(true, std::memory_order_release);
+        // Recovery barrier passed: the shard answered, so its journal
+        // replay is complete — parked routes can re-send now.
+        FlushParked(link);
+      }
+      return Status::Ok();
+    case net::FrameType::kError: {
+      // The shard closes after an error frame; treat as link death.
+      Status server_error = Status::Ok();
+      if (!net::DecodeErrorPayload(frame.payload, &server_error).ok() ||
+          server_error.ok()) {
+        server_error = Status::Internal("undecodable shard error frame");
+      }
+      return server_error;
+    }
+    default:
+      return Status::Internal("unexpected frame type from shard");
   }
-  if (link.write_offset >= link.write_buffer.size()) {
-    link.write_buffer.clear();
-    link.write_offset = 0;
-  }
-  UpdateShardInterest(link);
-}
-
-void Router::UpdateShardInterest(ShardLink& link) {
-  if (link.fd < 0) return;
-  const bool want_write =
-      link.write_offset < link.write_buffer.size() ||
-      link.state == ShardLink::State::kConnecting;
-  (void)loop_.UpdateFd(link.fd, /*want_read=*/true, want_write);
 }
 
 void Router::SendProbe(ShardLink& link) {
@@ -660,15 +388,11 @@ void Router::SendProbe(ShardLink& link) {
   link.probe_deadline_ns =
       link.last_probe_ns +
       static_cast<int64_t>(config_.health_probe_timeout_ms * 1e6);
-  QueueShardWrite(link, net::EncodeStatsRequestFrame());
+  link.conn->Send(net::EncodeStatsRequestFrame());
 }
 
 void Router::FailShard(ShardLink& link, const Status& reason) {
-  if (link.fd >= 0) {
-    loop_.UnregisterFd(link.fd);
-    ::close(link.fd);
-    link.fd = -1;
-  }
+  link.conn.reset();
   healthy_[link.index].store(false, std::memory_order_release);
   shard_reconnects_.fetch_add(1, std::memory_order_relaxed);
   const int64_t now = NowNanos();
@@ -691,7 +415,7 @@ void Router::FailShard(ShardLink& link, const Status& reason) {
       link.parked.push_back(std::move(route));
       continue;
     }
-    ClientConn& conn = *conn_it->second;
+    ClientConn& conn = conn_it->second;
     failed_over_inflight_.fetch_add(1, std::memory_order_relaxed);
     if (conn.inflight > 0) --conn.inflight;
     net::WireResult result;
@@ -704,8 +428,6 @@ void Router::FailShard(ShardLink& link, const Status& reason) {
     RespondToClient(conn, result);
   }
   link.inflight.clear();
-  link.write_buffer.clear();
-  link.write_offset = 0;
   link.probe_outstanding = false;
   ScheduleRedial(link, now);
 }
@@ -725,7 +447,7 @@ void Router::ResendRoute(Route route) {
   // NOW, not on the link it happened to be parked against.
   const size_t shard = ring_.ShardFor(route.query.dataset_id);
   ShardLink& link = links_[shard];
-  ClientConn& conn = *conn_it->second;
+  ClientConn& conn = conn_it->second;
   if (link.state != ShardLink::State::kHealthy) {
     // The re-send raced another failure (or resolved to a different,
     // still-down shard): keep waiting on that link's recovery under the
@@ -736,8 +458,7 @@ void Router::ResendRoute(Route route) {
     return;
   }
   if (link.inflight.size() >= config_.max_inflight_per_shard ||
-      link.write_buffer.size() - link.write_offset >
-          config_.write_buffer_high_bytes) {
+      link.conn->buffered_output() > config_.write_buffer_high_bytes) {
     rejected_backpressure_.fetch_add(1, std::memory_order_relaxed);
     if (conn.inflight > 0) --conn.inflight;
     net::WireResult result;
@@ -755,7 +476,7 @@ void Router::ResendRoute(Route route) {
   retried_.fetch_add(1, std::memory_order_relaxed);
   total_inflight_.fetch_add(1, std::memory_order_acq_rel);
   link.inflight[router_tag] = std::move(route);
-  QueueShardWrite(link, net::EncodeQueryFrame(query));
+  link.conn->Send(net::EncodeQueryFrame(query));
 }
 
 void Router::ExpireParked(Route& route, const ShardLink& link) {
@@ -766,7 +487,7 @@ void Router::ExpireParked(Route& route, const ShardLink& link) {
   failed_over_inflight_.fetch_add(1, std::memory_order_relaxed);
   auto conn_it = connections_.find(route.conn_id);
   if (conn_it == connections_.end()) return;
-  ClientConn& conn = *conn_it->second;
+  ClientConn& conn = conn_it->second;
   if (conn.inflight > 0) --conn.inflight;
   net::WireResult result;
   result.client_tag = route.client_tag;

@@ -7,8 +7,9 @@
 //
 // Mechanics (mirrors net::Server's threading contract):
 //   - one EventLoop thread owns every fd: the listen socket, all client
-//     connections and all shard links. No locks on the data path; the only
-//     cross-thread values are the stats atomics.
+//     connections and all shard links, each of the latter a
+//     net::FramedConn. No locks on the data path; the only cross-thread
+//     values are the stats atomics.
 //   - client query frames are decoded just enough to read the dataset id,
 //     re-tagged with a router-unique tag (two clients may use the same
 //     client_tag), and re-encoded onto the owning shard's link; responses
@@ -43,6 +44,7 @@
 
 #include "cluster/ring.h"
 #include "net/event_loop.h"
+#include "net/framed_conn.h"
 #include "net/wire.h"
 
 namespace upa::cluster {
@@ -61,8 +63,8 @@ struct RouterConfig {
   /// Per-shard cap on routed-but-unanswered queries; overflow is rejected
   /// with kResourceExhausted (backpressure, not queueing).
   size_t max_inflight_per_shard = 128;
-  /// A client (or shard) write buffer above this pauses reads from the
-  /// other side of that connection until it drains.
+  /// A client conn whose write buffer exceeds this is not read until the
+  /// buffer drains; a shard link past it takes no new routes.
   size_t write_buffer_high_bytes = 4u << 20;
   /// Shard dial: per-attempt connect timeout and the redial backoff range.
   double dial_timeout_ms = 2000.0;
@@ -147,15 +149,8 @@ class Router {
 
  private:
   struct ClientConn {
-    explicit ClientConn(size_t max_frame)
-        : assembler(max_frame) {}
     uint64_t id = 0;
-    int fd = -1;
-    net::FrameAssembler assembler;
-    std::string write_buffer;
-    size_t write_offset = 0;
-    bool reads_paused = false;
-    bool close_after_flush = false;
+    std::unique_ptr<net::FramedConn> io;
     /// Queries routed to a shard and not yet answered back to this client.
     size_t inflight = 0;
   };
@@ -177,10 +172,10 @@ class Router {
     size_t index = 0;
     ShardAddress addr;
     State state = State::kBackoff;
-    int fd = -1;
-    std::unique_ptr<net::FrameAssembler> assembler;
-    std::string write_buffer;
-    size_t write_offset = 0;
+    /// Rebuilt on each dial; null while in kBackoff. Its reads never pause:
+    /// RouteQuery already refuses new routes to a backed-up link, and
+    /// pausing shard reads could deadlock against the shard's own pause.
+    std::unique_ptr<net::FramedConn> conn;
     double backoff_ms = 0.0;
     int64_t next_dial_ns = 0;   // kBackoff: earliest redial
     int64_t dial_deadline_ns = 0;
@@ -195,24 +190,22 @@ class Router {
 
   // Loop-thread only.
   void HandleAccept();
-  void HandleClientReadable(uint64_t conn_id);
-  void HandleClientWritable(uint64_t conn_id);
+  /// A client conn's ready callback: routes its frames, then destroys it
+  /// if it closed (the one place a ClientConn is destroyed before Stop).
+  void HandleClientReady(uint64_t conn_id, bool readable);
   void ProcessClientFrames(ClientConn& conn);
+  /// Acts on one client frame; an error aborts the conn.
+  Status HandleClientFrame(ClientConn& conn, net::Frame frame);
   void RouteQuery(ClientConn& conn, net::WireQuery query);
   void RespondToClient(ClientConn& conn, const net::WireResult& result);
-  void QueueClientWrite(ClientConn& conn, std::string bytes);
-  void FlushClient(ClientConn& conn);
-  void UpdateClientInterest(ClientConn& conn);
-  void AbortClient(ClientConn& conn, const Status& error);
-  void CloseClient(uint64_t conn_id);
 
   void StartDial(ShardLink& link);
-  void HandleShardEvent(size_t shard, bool readable, bool writable,
-                        bool error);
-  void ProcessShardFrames(ShardLink& link);
-  void QueueShardWrite(ShardLink& link, std::string bytes);
-  void FlushShard(ShardLink& link);
-  void UpdateShardInterest(ShardLink& link);
+  /// A shard link's ready callback: finishes the connect, reads replies,
+  /// and fails the link (the one place outside OnTick's timeouts) if any
+  /// of that went wrong or the conn closed.
+  void HandleShardReady(size_t shard, bool readable, bool writable);
+  Status ProcessShardFrames(ShardLink& link);
+  Status HandleShardFrame(ShardLink& link, net::Frame frame);
   void SendProbe(ShardLink& link);
   /// Tears the link down: parks keyed in-flight routes for a post-recovery
   /// re-send (retry budget permitting), fails the rest with kUnavailable,
@@ -241,7 +234,7 @@ class Router {
 
   uint64_t next_conn_id_ = 1;
   uint64_t next_router_tag_ = 1;
-  std::map<uint64_t, std::unique_ptr<ClientConn>> connections_;
+  std::map<uint64_t, ClientConn> connections_;
   std::vector<ShardLink> links_;
 
   std::unique_ptr<std::atomic<bool>[]> healthy_;

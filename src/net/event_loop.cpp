@@ -17,13 +17,14 @@
 #endif
 
 namespace upa::net {
-namespace {
 
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+namespace {
 
 Status ErrnoStatus(const std::string& what) {
   return Status::Internal(what + ": " + ::strerror(errno));
@@ -174,9 +175,10 @@ Status EventLoop::UpdateFd(int fd, bool want_read, bool want_write) {
   return poller_->Modify(fd, want_read, want_write);
 }
 
-void EventLoop::UnregisterFd(int fd) {
+void EventLoop::CloseFd(int fd) {
   (void)poller_->Remove(fd);
   callbacks_.erase(fd);
+  ::close(fd);
   // Poison any readiness events for this fd still queued in the current
   // dispatch round: a callback that follows may accept a new connection
   // whose socket reuses this fd number, and the stale events (notably a
@@ -247,7 +249,7 @@ void EventLoop::Run() {
         DrainWakeups();
         continue;
       }
-      // Skip fds unregistered earlier in this round even if the number was
+      // Skip fds closed earlier in this round even if the number was
       // re-registered since: the event belongs to the OLD socket, and a
       // fresh connection reusing the fd must not inherit it (the new fd's
       // own readiness arrives level-triggered on the next Wait).
@@ -258,7 +260,7 @@ void EventLoop::Run() {
       // Re-look-up per event: an earlier callback may have closed this fd.
       auto it = callbacks_.find(event.fd);
       if (it == callbacks_.end()) continue;
-      // Copy: the callback may unregister itself, invalidating `it`.
+      // Copy: the callback may close its own fd, invalidating `it`.
       FdCallback cb = it->second;
       cb(event.readable, event.writable, event.error);
     }

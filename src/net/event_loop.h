@@ -24,6 +24,10 @@
 
 namespace upa::net {
 
+/// Steady-clock nanoseconds: the time base of the loop's ticks and of every
+/// deadline and idle scan its owners keep.
+int64_t NowNanos();
+
 enum class PollerKind {
   kEpoll,  // Linux epoll; falls back to kPoll where unavailable
   kPoll,   // portable poll(2)
@@ -57,9 +61,9 @@ class Poller {
 
 class EventLoop {
  public:
-  /// Per-fd readiness callback. Runs on the loop thread. May unregister
-  /// its own fd (close) — the loop tolerates callbacks mutating the
-  /// registration table mid-dispatch.
+  /// Per-fd readiness callback. Runs on the loop thread. May close its own
+  /// fd — the loop tolerates callbacks mutating the registration table
+  /// mid-dispatch.
   using FdCallback = std::function<void(bool readable, bool writable,
                                         bool error)>;
 
@@ -74,8 +78,8 @@ class EventLoop {
   Status RegisterFd(int fd, bool want_read, bool want_write, FdCallback cb);
   /// Change interest set of a registered fd. Loop thread only.
   Status UpdateFd(int fd, bool want_read, bool want_write);
-  /// Drop a registration. Does NOT close the fd. Loop thread only.
-  void UnregisterFd(int fd);
+  /// Drop a registration and close the fd. Loop thread only.
+  void CloseFd(int fd);
 
   /// Enqueue `fn` to run on the loop thread; wakes the loop if blocked in
   /// Wait. Thread-safe. Functions enqueued after Stop() (or after the loop
@@ -103,7 +107,7 @@ class EventLoop {
 
   std::unique_ptr<Poller> poller_;
   std::map<int, FdCallback> callbacks_;
-  /// fds unregistered during the current dispatch round; their remaining
+  /// fds closed during the current dispatch round; their remaining
   /// queued events are skipped so a reused fd number can't receive the old
   /// socket's readiness. Cleared at the top of each loop iteration.
   std::vector<int> dead_this_round_;

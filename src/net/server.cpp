@@ -1,12 +1,5 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <string.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -16,24 +9,10 @@
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "net/dial.h"
 
 namespace upa::net {
 namespace {
-
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Status SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("fcntl(O_NONBLOCK): ") +
-                            ::strerror(errno));
-  }
-  return Status::Ok();
-}
 
 /// Failpoint probe usable in void handlers: non-OK (or an abort/delay
 /// action) is surfaced as the injected Status for the caller to treat as a
@@ -78,51 +57,10 @@ Status Server::Start() {
     return Status::InvalidArgument("max_frame_bytes is below a frame header");
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + ::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("unparseable host '" + config_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status st = Status::Internal(std::string("bind: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, 128) != 0) {
-    Status st =
-        Status::Internal(std::string("listen: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    Status st =
-        Status::Internal(std::string("getsockname: ") + ::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  port_ = ntohs(bound.sin_port);
-  if (Status st = SetNonBlocking(listen_fd_); !st.ok()) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
+  Result<Listening> listening = Listen(config_.host, config_.port);
+  if (!listening.ok()) return listening.status();
+  listen_fd_ = listening.value().fd;
+  port_ = listening.value().port;
 
   started_ = true;
   loop_thread_ = std::thread([this] {
@@ -138,16 +76,12 @@ Status Server::Start() {
     loop_.Run();
     // Loop exited: tear down every fd on the owning thread.
     for (auto& [id, conn] : connections_) {
-      loop_.UnregisterFd(conn->fd);
-      ::close(conn->fd);
-      for (auto& [seq, token] : conn->inflight) {
+      for (auto& [seq, token] : conn.inflight) {
         token->Cancel(StatusCode::kCancelled, "server shutting down");
       }
     }
     connections_.clear();
-    loop_.UnregisterFd(listen_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    if (listen_fd_ >= 0) loop_.CloseFd(listen_fd_);
   });
   return Status::Ok();
 }
@@ -162,7 +96,8 @@ void Server::Stop() {
   // would otherwise be dropped unserved with its accept event.
   loop_.RunInLoop([this] {
     HandleAccept();
-    loop_.UnregisterFd(listen_fd_);
+    loop_.CloseFd(listen_fd_);
+    listen_fd_ = -1;
   });
 
   // Graceful drain: wait for in-flight queries and buffered responses.
@@ -179,13 +114,12 @@ void Server::Stop() {
       std::vector<uint64_t> ids;
       ids.reserve(connections_.size());
       for (const auto& [id, conn] : connections_) ids.push_back(id);
-      for (uint64_t id : ids) HandleReadable(id);
+      for (uint64_t id : ids) HandleReady(id, /*readable=*/true);
       bool quiet =
           mailbox_->pending_requests.load(std::memory_order_acquire) == 0;
       for (const auto& [id, conn] : connections_) {
-        if (!conn->inflight.empty() ||
-            conn->write_offset < conn->write_buffer.size() ||
-            conn->assembler.buffered_bytes() > 0) {
+        if (!conn.inflight.empty() || conn.io->buffered_output() > 0 ||
+            conn.io->buffered_input() > 0) {
           quiet = false;
           break;
         }
@@ -199,8 +133,7 @@ void Server::Stop() {
       break;  // loop wedged past the drain deadline; stop anyway
     }
     if (quiescent.get() &&
-        mailbox_->pending_requests.load(std::memory_order_acquire) == 0 &&
-        unflushed_bytes_.load(std::memory_order_acquire) == 0) {
+        mailbox_->pending_requests.load(std::memory_order_acquire) == 0) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -247,153 +180,75 @@ std::string Server::StatsText() const {
 }
 
 void Server::HandleAccept() {
-  for (;;) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof(peer);
-    int fd = ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer),
-                      &peer_len);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;  // transient accept failure; the listener stays registered
-    }
-    if (Status injected = Probe("net/accept"); !injected.ok()) {
+  for (int fd; (fd = Accept(listen_fd_)) >= 0;) {
+    if (!Probe("net/accept").ok() ||
+        connections_.size() >= config_.max_connections) {
       rejected_connections_.fetch_add(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
     }
-    if (connections_.size() >= config_.max_connections) {
+    const uint64_t id = next_conn_id_++;
+    Result<std::unique_ptr<FramedConn>> io = FramedConn::Open(
+        &loop_, fd, config_.max_frame_bytes, config_.write_buffer_high_bytes,
+        [this, id](bool readable, bool) { HandleReady(id, readable); });
+    if (!io.ok()) {
       rejected_connections_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
       continue;
     }
-    if (!SetNonBlocking(fd).ok()) {
-      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(config_.max_frame_bytes);
-    conn->id = id;
-    conn->fd = fd;
-    conn->last_activity_ns = NowNanos();
-    Status registered = loop_.RegisterFd(
-        fd, /*want_read=*/true, /*want_write=*/false,
-        [this, id](bool readable, bool writable, bool error) {
-          if (error) {
-            CloseConnection(id, /*cancel_inflight=*/true);
-            return;
-          }
-          if (writable) HandleWritable(id);
-          if (readable) HandleReadable(id);
-        });
-    if (!registered.ok()) {
-      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
-    }
-    connections_[id] = std::move(conn);
+    Connection& conn = connections_[id];
+    conn.id = id;
+    conn.io = std::move(io).value();
     accepted_.fetch_add(1, std::memory_order_relaxed);
     open_connections_.store(connections_.size(), std::memory_order_relaxed);
   }
 }
 
-void Server::HandleReadable(uint64_t conn_id) {
+void Server::HandleReady(uint64_t conn_id, bool readable) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
-  Connection& conn = *it->second;
-  if (conn.reads_paused || conn.close_after_flush) return;
-
-  char buf[64 * 1024];
-  for (;;) {
-    if (Status injected = Probe("net/read"); !injected.ok()) {
-      CloseConnection(conn_id, /*cancel_inflight=*/true);
-      return;
-    }
-    ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.last_activity_ns = NowNanos();
-      conn.assembler.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      ProcessFrames(conn);
-      // ProcessFrames may have closed or paused the connection.
-      auto again = connections_.find(conn_id);
-      if (again == connections_.end()) return;
-      if (again->second->reads_paused || again->second->close_after_flush) {
-        return;
-      }
-      continue;
-    }
-    if (n == 0) {  // orderly EOF
-      CloseConnection(conn_id, /*cancel_inflight=*/true);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    CloseConnection(conn_id, /*cancel_inflight=*/true);
-    return;
-  }
+  if (readable) ProcessFrames(it->second);
+  if (it->second.io->closed()) CloseConnection(conn_id);
 }
 
-void Server::AbortConnection(Connection& conn, const Status& error) {
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  // close_after_flush must be set BEFORE the write is queued: QueueWrite
-  // flushes inline, and a hard send() error (or the net/write failpoint)
-  // inside that flush destroys the Connection. With the flag already set,
-  // a clean full flush also closes — no second touch of `conn` is needed,
-  // and callers must not make one.
-  conn.close_after_flush = true;
-  QueueWrite(conn, EncodeErrorFrame(error));
+void Server::Reply(Connection& conn, std::string bytes) {
+  frames_out_.fetch_add(1, std::memory_order_relaxed);
+  conn.io->Send(std::move(bytes));
 }
 
 void Server::ProcessFrames(Connection& conn) {
-  uint64_t conn_id = conn.id;
-  for (;;) {
-    Frame frame;
-    Status error = Status::Ok();
-    FrameAssembler::Outcome outcome = conn.assembler.Next(&frame, &error);
-    if (outcome == FrameAssembler::Outcome::kNeedMore) return;
-    if (outcome == FrameAssembler::Outcome::kError) {
-      // The stream cannot be resynchronised: report once, flush, close.
-      AbortConnection(conn, error);
-      return;
-    }
+  Frame frame;
+  Status error = Status::Ok();
+  while (error.ok() && conn.io->Next(&frame, &error)) {
     frames_in_.fetch_add(1, std::memory_order_relaxed);
+    error = Probe("net/decode");
+    if (error.ok()) error = HandleFrame(conn, std::move(frame));
+  }
+  // A framing or payload error condemns the stream: it cannot be
+  // resynchronised, so report once, flush, close.
+  if (!error.ok()) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    frames_out_.fetch_add(1, std::memory_order_relaxed);
+    conn.io->Abort(error);
+  }
+}
 
-    if (Status injected = Probe("net/decode"); !injected.ok()) {
-      AbortConnection(conn, injected);
-      return;
+Status Server::HandleFrame(Connection& conn, Frame frame) {
+  switch (frame.type) {
+    case FrameType::kQueryRequest: {
+      WireQuery query;
+      UPA_RETURN_IF_ERROR(DecodeQueryPayload(frame.payload, &query));
+      DispatchQuery(conn, std::move(query));
+      return Status::Ok();
     }
-
-    switch (frame.type) {
-      case FrameType::kQueryRequest: {
-        WireQuery query;
-        Status decoded = DecodeQueryPayload(frame.payload, &query);
-        if (!decoded.ok()) {
-          AbortConnection(conn, decoded);
-          return;
-        }
-        DispatchQuery(conn, std::move(query));
-        break;
-      }
-      case FrameType::kStatsRequest: {
-        std::string text = service_->StatsReport();
-        text += StatsText();
-        QueueWrite(conn, EncodeStatsResponseFrame(text));
-        break;
-      }
-      default: {
-        // A client has no business sending response/error frames.
-        AbortConnection(conn, Status::InvalidArgument(
-                                  "unexpected frame type from client"));
-        return;
-      }
+    case FrameType::kStatsRequest: {
+      std::string text = service_->StatsReport();
+      text += StatsText();
+      Reply(conn, EncodeStatsResponseFrame(text));
+      return Status::Ok();
     }
-    // Dispatch/stats may have queued writes that closed the connection via
-    // a failed flush.
-    if (connections_.find(conn_id) == connections_.end()) return;
+    default:
+      // A client has no business sending response/error frames.
+      return Status::InvalidArgument("unexpected frame type from client");
   }
 }
 
@@ -407,7 +262,7 @@ void Server::DispatchQuery(Connection& conn, WireQuery query) {
     result.code = status.code();
     result.message = status.message();
     result.retry_after_ms = status.retry_after_ms();
-    QueueWrite(conn, EncodeResultFrame(result));
+    Reply(conn, EncodeResultFrame(result));
   };
 
   if (conn.inflight.size() >= config_.max_pipelined_per_connection) {
@@ -432,8 +287,10 @@ void Server::DispatchQuery(Connection& conn, WireQuery query) {
   request.query = std::move(compiled).value();
   request.epsilon = query.epsilon;
   request.seed = query.seed;
-  request.fingerprint =
-      query.fingerprint != 0 ? query.fingerprint : Fnv1a(query.sql);
+  // The sensitivity-cache key is the server's hash of the SQL, never a
+  // client-supplied value: a client choosing it could make one query reuse
+  // another's cached sensitivity and output range.
+  request.fingerprint = Fnv1a(query.sql);
   request.deadline_ms = query.deadline_ms;
   request.cancel = token;
   request.client_nonce = query.client_nonce;
@@ -478,98 +335,19 @@ void Server::CompleteRequest(uint64_t conn_id, uint64_t seq,
   mailbox_->pending_requests.fetch_sub(1, std::memory_order_acq_rel);
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;  // client went away mid-request
-  Connection& conn = *it->second;
-  conn.inflight.erase(seq);
-  QueueWrite(conn, std::move(bytes));
+  it->second.inflight.erase(seq);
+  Reply(it->second, std::move(bytes));
 }
 
-void Server::QueueWrite(Connection& conn, std::string bytes) {
-  frames_out_.fetch_add(1, std::memory_order_relaxed);
-  unflushed_bytes_.fetch_add(bytes.size(), std::memory_order_acq_rel);
-  if (conn.write_buffer.empty()) {
-    conn.write_buffer = std::move(bytes);
-    conn.write_offset = 0;
-  } else {
-    conn.write_buffer += bytes;
-  }
-  TryFlush(conn);
-}
-
-void Server::TryFlush(Connection& conn) {
-  uint64_t conn_id = conn.id;
-  while (conn.write_offset < conn.write_buffer.size()) {
-    if (Status injected = Probe("net/write"); !injected.ok()) {
-      CloseConnection(conn_id, /*cancel_inflight=*/true);
-      return;
-    }
-    ssize_t n = ::send(conn.fd, conn.write_buffer.data() + conn.write_offset,
-                       conn.write_buffer.size() - conn.write_offset,
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.write_offset += static_cast<size_t>(n);
-      unflushed_bytes_.fetch_sub(static_cast<uint64_t>(n),
-                                 std::memory_order_acq_rel);
-      conn.last_activity_ns = NowNanos();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    CloseConnection(conn_id, /*cancel_inflight=*/true);
-    return;
-  }
-  if (conn.write_offset >= conn.write_buffer.size()) {
-    conn.write_buffer.clear();
-    conn.write_offset = 0;
-    if (conn.close_after_flush) {
-      CloseConnection(conn_id, /*cancel_inflight=*/true);
-      return;
-    }
-  }
-  UpdateInterest(conn);
-}
-
-void Server::UpdateInterest(Connection& conn) {
-  size_t buffered = conn.write_buffer.size() - conn.write_offset;
-  bool want_write = buffered > 0;
-  // Backpressure: a connection writing faster than its client reads stops
-  // being read until its buffer fully drains. Full drain (not a low
-  // watermark) keeps the policy simple and the test observable.
-  bool pause_reads = buffered > config_.write_buffer_high_bytes;
-  bool resume_reads = buffered == 0;
-  if (pause_reads) {
-    conn.reads_paused = true;
-  } else if (resume_reads && conn.reads_paused) {
-    conn.reads_paused = false;
-  }
-  bool want_read = !conn.reads_paused && !conn.close_after_flush;
-  (void)loop_.UpdateFd(conn.fd, want_read, want_write);
-  conn.want_write = want_write;
-}
-
-void Server::HandleWritable(uint64_t conn_id) {
+void Server::CloseConnection(uint64_t conn_id) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
-  TryFlush(*it->second);
-}
-
-void Server::CloseConnection(uint64_t conn_id, bool cancel_inflight) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) return;
-  Connection& conn = *it->second;
-  loop_.UnregisterFd(conn.fd);
-  ::close(conn.fd);
-  size_t buffered = conn.write_buffer.size() - conn.write_offset;
-  if (buffered > 0) {
-    unflushed_bytes_.fetch_sub(buffered, std::memory_order_acq_rel);
-  }
-  if (cancel_inflight) {
-    for (auto& [seq, token] : conn.inflight) {
-      disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
-      // The service observes the trip at its next cooperative check and
-      // refunds the charge (nothing was released). The completion callback
-      // still fires; CompleteRequest drops it — the connection is gone.
-      token->Cancel(StatusCode::kCancelled, "client disconnected");
-    }
+  for (auto& [seq, token] : it->second.inflight) {
+    disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
+    // The service observes the trip at its next cooperative check and
+    // refunds the charge (nothing was released). The completion callback
+    // still fires; CompleteRequest drops it — the connection is gone.
+    token->Cancel(StatusCode::kCancelled, "client disconnected");
   }
   connections_.erase(it);
   open_connections_.store(connections_.size(), std::memory_order_relaxed);
@@ -587,12 +365,12 @@ void Server::OnTick() {
     // do NOT count as activity — a peer that stops reading its responses
     // (or drips a slow-loris request) makes no forward progress, and
     // last_activity_ns already advances on every successful recv/send.
-    if (!conn->inflight.empty()) continue;
-    if (now - conn->last_activity_ns >= budget_ns) victims.push_back(id);
+    if (!conn.inflight.empty()) continue;
+    if (now - conn.io->last_activity_ns() >= budget_ns) victims.push_back(id);
   }
   for (uint64_t id : victims) {
     idle_closed_.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(id, /*cancel_inflight=*/true);
+    CloseConnection(id);
   }
 }
 

@@ -26,10 +26,13 @@
 //   - per-request deadlines ride the wire (WireQuery::deadline_ms) into
 //     QueryRequest::deadline_ms — the same CancelToken machinery.
 //
-// Fault sites (chaos suite): "net/accept", "net/read", "net/write",
-// "net/decode" — an injected error behaves as a transport failure on that
-// connection (closed, in-flight work cancelled); an abort action kills the
-// process for crash-recovery tests.
+// Each connection is a FramedConn (framed_conn.h), which owns the socket
+// I/O, the write backpressure and the closing rule.
+//
+// Fault sites (chaos suite): "net/accept" and "net/decode" here,
+// "net/read" and "net/write" in FramedConn — an injected error behaves as
+// a transport failure on that connection (closed, in-flight work
+// cancelled); an abort action kills the process for crash-recovery tests.
 #pragma once
 
 #include <atomic>
@@ -42,6 +45,7 @@
 #include <thread>
 
 #include "net/event_loop.h"
+#include "net/framed_conn.h"
 #include "net/wire.h"
 #include "service/service.h"
 
@@ -120,20 +124,10 @@ class Server {
  private:
   struct Connection {
     uint64_t id = 0;
-    int fd = -1;
-    FrameAssembler assembler;
-    std::string write_buffer;
-    size_t write_offset = 0;
-    bool want_write = false;
-    bool reads_paused = false;
-    bool close_after_flush = false;
-    int64_t last_activity_ns = 0;
+    std::unique_ptr<FramedConn> io;
     /// In-flight request cancel handles, keyed by server-side sequence
     /// number (client_tags may collide; these never do).
     std::map<uint64_t, std::shared_ptr<CancelToken>> inflight;
-
-    explicit Connection(size_t max_frame_bytes)
-        : assembler(max_frame_bytes) {}
   };
 
   /// Liveness bridge between pool-thread completions and the loop: the
@@ -150,18 +144,17 @@ class Server {
 
   // All of the below run on the loop thread.
   void HandleAccept();
-  void HandleReadable(uint64_t conn_id);
-  void HandleWritable(uint64_t conn_id);
+  /// The conn's ready callback: reads its frames, then destroys it if it
+  /// closed (the one place a Connection is destroyed besides the idle
+  /// reaper and shutdown).
+  void HandleReady(uint64_t conn_id, bool readable);
   void ProcessFrames(Connection& conn);
+  /// Acts on one client frame; an error aborts the conn.
+  Status HandleFrame(Connection& conn, Frame frame);
   void DispatchQuery(Connection& conn, WireQuery query);
-  void QueueWrite(Connection& conn, std::string bytes);
-  void TryFlush(Connection& conn);
-  void UpdateInterest(Connection& conn);
-  void CloseConnection(uint64_t conn_id, bool cancel_inflight);
-  /// Queues an error frame and marks the connection close-after-flush.
-  /// May destroy the Connection before returning (hard flush failure);
-  /// callers must not touch `conn` afterwards.
-  void AbortConnection(Connection& conn, const Status& error);
+  void Reply(Connection& conn, std::string bytes);
+  /// Destroys the conn, tripping its in-flight cancel tokens.
+  void CloseConnection(uint64_t conn_id);
   void OnTick();
   /// Completion re-entry: response bytes for (conn_id, seq).
   void CompleteRequest(uint64_t conn_id, uint64_t seq, std::string bytes);
@@ -180,11 +173,10 @@ class Server {
 
   uint64_t next_conn_id_ = 1;  // loop thread only
   uint64_t next_req_seq_ = 1;  // loop thread only
-  std::map<uint64_t, std::unique_ptr<Connection>> connections_;
+  std::map<uint64_t, Connection> connections_;
 
-  // Drain/observability counters (mixed-thread readers). The in-flight
-  // request count lives in Mailbox::pending_requests — see Mailbox.
-  std::atomic<uint64_t> unflushed_bytes_{0};
+  // Observability counters (mixed-thread readers). The in-flight request
+  // count lives in Mailbox::pending_requests — see Mailbox.
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> rejected_connections_{0};
   std::atomic<uint64_t> frames_in_{0};

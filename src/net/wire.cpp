@@ -174,7 +174,6 @@ std::string EncodeQueryFrame(const WireQuery& query) {
   w.PutString(query.dataset_id);
   w.PutDouble(query.epsilon);
   w.PutU64(query.seed);
-  w.PutU64(query.fingerprint);
   w.PutI64(query.deadline_ms);
   w.PutString(query.sql);
   w.PutU64(query.client_nonce);
@@ -233,7 +232,6 @@ Status DecodeQueryPayload(std::string_view payload, WireQuery* out) {
   UPA_RETURN_IF_ERROR(r.GetString(&out->dataset_id));
   UPA_RETURN_IF_ERROR(r.GetDouble(&out->epsilon));
   UPA_RETURN_IF_ERROR(r.GetU64(&out->seed));
-  UPA_RETURN_IF_ERROR(r.GetU64(&out->fingerprint));
   UPA_RETURN_IF_ERROR(r.GetI64(&out->deadline_ms));
   UPA_RETURN_IF_ERROR(r.GetString(&out->sql));
   UPA_RETURN_IF_ERROR(r.GetU64(&out->client_nonce));

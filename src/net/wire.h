@@ -23,8 +23,9 @@
 //
 // Request/response payloads:
 //   kQueryRequest   client_tag, tenant, dataset_id, epsilon, seed,
-//                   fingerprint, deadline_ms, sql, client_nonce,
-//                   client_seq (idempotency key; 0 = unkeyed)
+//                   deadline_ms, sql, client_nonce, client_seq
+//                   (idempotency key; 0 = unkeyed). The server derives
+//                   the sensitivity-cache key from the SQL itself.
 //   kQueryResponse  client_tag, status code + message, released value and
 //                   the full decision metadata of service::QueryResponse,
 //                   retry_after_ms backoff hint
@@ -81,7 +82,6 @@ struct WireQuery {
   std::string dataset_id;
   double epsilon = 0.1;
   uint64_t seed = 0;
-  uint64_t fingerprint = 0;
   int64_t deadline_ms = 0;
   std::string sql;
   /// Idempotency key. (client_nonce, client_seq) with nonce != 0 names

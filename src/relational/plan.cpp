@@ -127,7 +127,50 @@ void FindOwners(const PlanPtr& plan, const std::string& column,
   }
 }
 
+/// The output schema of `plan`, or the first unknown table or column.
+Result<Schema> CheckedSchema(const PlanPtr& plan, const Catalog& catalog) {
+  switch (plan->kind) {
+    case PlanKind::kScan: {
+      auto it = catalog.find(plan->table);
+      if (it == catalog.end()) {
+        return Status::InvalidArgument("unknown table: " + plan->table);
+      }
+      return it->second->schema();
+    }
+    case PlanKind::kFilter:
+    case PlanKind::kAggregate: {
+      Result<Schema> child = CheckedSchema(plan->left, catalog);
+      if (!child.ok()) return child;
+      const bool filter = plan->kind == PlanKind::kFilter;
+      const ExprPtr& expr = filter ? plan->predicate : plan->agg_expr;
+      if (!ExprColumnsExist(expr, child.value())) {
+        return Status::InvalidArgument(
+            std::string(filter ? "filter" : "aggregate") +
+            " references unknown column in " + expr->ToString());
+      }
+      return child;
+    }
+    case PlanKind::kJoin: {
+      Result<Schema> left = CheckedSchema(plan->left, catalog);
+      if (!left.ok()) return left;
+      Result<Schema> right = CheckedSchema(plan->right, catalog);
+      if (!right.ok()) return right;
+      if (!left.value().Has(plan->left_key) ||
+          !right.value().Has(plan->right_key)) {
+        return Status::InvalidArgument("join key not found: " +
+                                       plan->left_key + "=" + plan->right_key);
+      }
+      return Schema::Concat(left.value(), right.value());
+    }
+  }
+  return Status::Internal("unknown plan node kind");
+}
+
 }  // namespace
+
+Status CheckPlanColumns(const PlanPtr& plan, const Catalog& catalog) {
+  return CheckedSchema(plan, catalog).status();
+}
 
 PlanStats AnalyzePlan(const PlanPtr& plan) {
   PlanStats stats;

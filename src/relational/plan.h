@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "relational/expr.h"
 #include "relational/table.h"
 
@@ -111,6 +112,13 @@ std::string PlanToString(const PlanPtr& plan);
 /// recycled; a uid never is). Tables missing from the catalog hash by
 /// name; execution fails on them before any cache is consulted.
 uint64_t PlanFingerprint(const PlanPtr& plan, const Catalog& catalog);
+
+/// Checks every table and column `plan` names (scans, filter predicates,
+/// join keys, the aggregate expression) against `catalog`:
+/// kInvalidArgument naming the first unknown one. The engines make the
+/// same checks when they run a plan; a front door calls this first so a
+/// bad query is refused instead of reaching a run that must not fail.
+Status CheckPlanColumns(const PlanPtr& plan, const Catalog& catalog);
 
 /// The table each join column belongs to is resolved structurally: the key
 /// of a join side must come from a Scan under that side. Returns the table

@@ -43,14 +43,18 @@ uint64_t Bits(double v) {
   return bits;
 }
 
-core::QueryInstance CountQuery(size_t n, const std::string& name) {
+/// Counting query over records 0..n-1, or (sum) the sum of their values.
+core::QueryInstance CountQuery(size_t n, const std::string& name,
+                               bool sum = false) {
   core::SimpleQuerySpec<int> spec;
   spec.name = name;
   spec.ctx = &Ctx();
   auto records = std::make_shared<std::vector<int>>(n, 0);
   std::iota(records->begin(), records->end(), 0);
   spec.records = records;
-  spec.map_record = [](const int&) { return core::Vec{1.0}; };
+  spec.map_record = [sum](const int& v) {
+    return core::Vec{sum ? static_cast<double>(v) : 1.0};
+  };
   spec.sample_domain = [](Rng& rng) {
     return static_cast<int>(rng.UniformU64(1000000));
   };
@@ -87,14 +91,19 @@ core::QueryInstance GatedQuery(size_t n,
   return core::MakeSimpleQuery(std::move(spec));
 }
 
-/// Toy wire-SQL: "count:<n>" → counting query over n records; "gate:<n>" →
-/// the same but its map phase blocks on `gate`. The query name is the SQL
+/// Toy wire-SQL: "count:<n>" → counting query over n records; "sum:<n>" →
+/// the sum of their values; "gate:<n>" → a count whose map phase blocks on
+/// `gate`. The query name is the SQL
 /// text, so a replayed in-process request with the same text derives the
 /// same fingerprint and hits the same cache entries.
 QueryCompiler TestCompiler(std::shared_ptr<std::atomic<bool>> gate) {
   return [gate](const WireQuery& wire) -> Result<core::QueryInstance> {
     if (wire.sql.rfind("count:", 0) == 0) {
       return CountQuery(std::stoul(wire.sql.substr(6)), wire.sql);
+    }
+    if (wire.sql.rfind("sum:", 0) == 0) {
+      return CountQuery(std::stoul(wire.sql.substr(4)), wire.sql,
+                        /*sum=*/true);
     }
     if (wire.sql.rfind("gate:", 0) == 0) {
       return GatedQuery(std::stoul(wire.sql.substr(5)), gate, wire.sql);
@@ -148,7 +157,6 @@ WireQuery MakeWireQuery(const std::string& tenant, const std::string& dataset,
   query.dataset_id = dataset;
   query.epsilon = 0.1;
   query.seed = seed;
-  query.fingerprint = Fnv1a(sql);
   query.sql = sql;
   return query;
 }
@@ -419,6 +427,31 @@ TEST(NetServer, IdleConnectionsAreReaped) {
   ASSERT_TRUE(WaitFor([&] { return harness.server.stats().idle_closed >= 1; }));
   auto frame = client->ReadFrame(/*timeout_ms=*/2000);
   EXPECT_FALSE(frame.ok());
+}
+
+// The sensitivity-cache key is the server's hash of the SQL text, so no
+// client can make one query reuse another's cached sensitivity: a SUM after
+// a COUNT on the same dataset runs its own analysis, while a repeat of the
+// COUNT is served from the cache.
+TEST(NetServer, SumAfterCountOnOneDatasetMissesTheSensitivityCache) {
+  ServerHarness harness;
+  auto client = harness.Connect();
+  auto count = client->Query(MakeWireQuery("t", "ds", "count:500", 1));
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_TRUE(count.value().ok()) << count.value().status().ToString();
+  EXPECT_FALSE(count.value().response.sensitivity_cache_hit);
+
+  auto sum = client->Query(MakeWireQuery("t", "ds", "sum:500", 2));
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  ASSERT_TRUE(sum.value().ok()) << sum.value().status().ToString();
+  EXPECT_FALSE(sum.value().response.sensitivity_cache_hit);
+  EXPECT_GT(sum.value().response.local_sensitivity,
+            count.value().response.local_sensitivity);
+
+  auto again = client->Query(MakeWireQuery("t", "ds", "count:500", 3));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_TRUE(again.value().ok()) << again.value().status().ToString();
+  EXPECT_TRUE(again.value().response.sensitivity_cache_hit);
 }
 
 TEST(NetServer, StatsTravelOverTheWire) {

@@ -71,7 +71,6 @@ WireQuery RandomQuery(Rng& rng) {
   q.dataset_id = RandomString(rng, 24);
   q.epsilon = RandomDouble(rng);
   q.seed = rng.NextU64();
-  q.fingerprint = rng.NextU64();
   q.deadline_ms = static_cast<int64_t>(rng.NextU64());
   q.sql = RandomString(rng, 200);
   return q;
@@ -132,7 +131,6 @@ void ExpectQueriesBitIdentical(const WireQuery& a, const WireQuery& b) {
   EXPECT_EQ(a.dataset_id, b.dataset_id);
   EXPECT_EQ(Bits(a.epsilon), Bits(b.epsilon));
   EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.deadline_ms, b.deadline_ms);
   EXPECT_EQ(a.sql, b.sql);
 }

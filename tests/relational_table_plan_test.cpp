@@ -99,5 +99,59 @@ TEST(PlanTest, OwningTableAmbiguousReturnsEmpty) {
   EXPECT_EQ(OwningTable(plan, "k", catalog), "");
 }
 
+class CheckPlanColumnsTest : public ::testing::Test {
+ protected:
+  Table users_{"users", Schema({{"uid", ValueType::kInt},
+                                {"age", ValueType::kInt}}),
+               {}};
+  Table clicks_{"clicks", Schema({{"cid", ValueType::kInt},
+                                  {"uid_ref", ValueType::kInt}}),
+                {}};
+  Catalog catalog_{{"users", &users_}, {"clicks", &clicks_}};
+
+  PlanPtr Joined(const std::string& left_key, const std::string& right_key) {
+    PlanPtr adults =
+        FilterPlan(ScanPlan("users"), Gt(Col("age"), Lit(int64_t{30})));
+    return JoinPlan(adults, ScanPlan("clicks"), left_key, right_key);
+  }
+};
+
+TEST_F(CheckPlanColumnsTest, AcceptsAPlanWhoseColumnsAllExist) {
+  EXPECT_TRUE(CheckPlanColumns(SumPlan(Joined("uid", "uid_ref"), Col("cid")),
+                               catalog_)
+                  .ok());
+}
+
+TEST_F(CheckPlanColumnsTest, RejectsAnUnknownFilterColumn) {
+  auto plan = CountPlan(
+      FilterPlan(ScanPlan("users"), Gt(Col("bogus"), Lit(int64_t{1}))));
+  Status status = CheckPlanColumns(plan, catalog_);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("bogus"), std::string::npos);
+}
+
+TEST_F(CheckPlanColumnsTest, RejectsAnUnknownAggregateColumn) {
+  // The column exists in the catalog, but not under this plan's scans.
+  Status status =
+      CheckPlanColumns(SumPlan(ScanPlan("users"), Col("cid")), catalog_);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("cid"), std::string::npos);
+}
+
+TEST_F(CheckPlanColumnsTest, RejectsAnUnknownJoinKey) {
+  Status left = CheckPlanColumns(CountPlan(Joined("bogus", "uid_ref")),
+                                 catalog_);
+  EXPECT_EQ(left.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(left.message().find("bogus"), std::string::npos);
+  // A key that exists only on the other side does not count.
+  Status right = CheckPlanColumns(CountPlan(Joined("uid", "uid")), catalog_);
+  EXPECT_EQ(right.code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckPlanColumnsTest, RejectsAnUnknownTable) {
+  Status status = CheckPlanColumns(CountPlan(ScanPlan("nope")), catalog_);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace upa::rel
