@@ -1,6 +1,8 @@
 // Row interpreter vs columnar engine: wall-clock per TPC-H plan query and
 // per UPA phase-run bundle (the S' / sample / domain executions of
-// src/queries/plan_query.cpp), plus a bit-identity check on every output.
+// src/queries/plan_query.cpp), fused vs interpreted filter chains, and a
+// high-cardinality GROUP BY (one grouped pass vs per-group enumeration),
+// plus a bit-identity check on every output.
 //
 // Emits machine-readable JSON to BENCH_exec.json (override the path with
 // UPA_BENCH_JSON) so the perf trajectory of the execution layer can be
@@ -10,15 +12,19 @@
 // Timing protocol: per-query numbers run with the scan cache OFF so they
 // measure execution, not memoization (Table::Columnar() is still built
 // once — that is a property of the storage layer, not of a run). Phase
-// bundles run with the cache ON under a fresh cache_epoch per repetition,
-// exactly like the runner: the three phases of one run share the public
-// subtrees, independent runs share nothing. All numbers are the minimum
-// over UPA_RUNS repetitions.
+// bundles run with the cache ON through a fresh block cache per
+// repetition, exactly like the runner: the three phases of one run share
+// the public subtrees, independent runs share nothing. All numbers are the
+// minimum over UPA_RUNS repetitions.
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util/harness.h"
@@ -64,8 +70,8 @@ Timed TimeQuery(const rel::PlanExecutor& exec, const rel::PlanPtr& plan,
 }
 
 // One UPA phase bundle: the three executions MakePlanQuery issues per run,
-// sharing one cache epoch. Returns the best total over `runs` repetitions
-// (epoch varies per repetition so nothing carries over).
+// sharing one block cache. Returns the best total over `runs` repetitions
+// (each repetition gets a fresh cache, so nothing carries over).
 double TimePhaseBundle(const rel::PlanExecutor& exec,
                        const tpch::TpchDataset& data,
                        const tpch::TpchQuery& q, rel::ExecEngine engine,
@@ -81,7 +87,7 @@ double TimePhaseBundle(const rel::PlanExecutor& exec,
 
   double best = 1e100;
   for (size_t r = 0; r < runs; ++r) {
-    const uint64_t epoch = seed * 1000 + r;
+    engine::BlockCache cache(nullptr);
     double t0 = Now();
     {
       rel::ExecOptions opts;  // S'
@@ -89,7 +95,7 @@ double TimePhaseBundle(const rel::PlanExecutor& exec,
       opts.private_table = q.private_table;
       opts.exclude_rows = &sample;
       opts.partitions = 4;
-      opts.cache_epoch = epoch;
+      opts.cache = &cache;
       UPA_CHECK(exec.Execute(q.plan, opts).ok());
     }
     {
@@ -98,7 +104,7 @@ double TimePhaseBundle(const rel::PlanExecutor& exec,
       opts.private_table = q.private_table;
       opts.include_rows = &sample;
       opts.track_contributions = true;
-      opts.cache_epoch = epoch;
+      opts.cache = &cache;
       UPA_CHECK(exec.Execute(q.plan, opts).ok());
     }
     {
@@ -107,7 +113,7 @@ double TimePhaseBundle(const rel::PlanExecutor& exec,
       opts.private_table = q.private_table;
       opts.replace_private_rows = &domain_rows;
       opts.track_contributions = true;
-      opts.cache_epoch = epoch;
+      opts.cache = &cache;
       UPA_CHECK(exec.Execute(q.plan, opts).ok());
     }
     best = std::min(best, Now() - t0);
@@ -248,20 +254,128 @@ int main() {
   ftable.Print(
       "Fused vs interpreted columnar (filter-heavy chains, min over runs)");
 
+  // --- High-cardinality GROUP BY: the single grouped pass against the
+  // per-group enumeration it replaced, emulated here with the public API —
+  // per distinct key value (first-appearance order in the owning table), a
+  // COUNT over FilterPlan(relation, key = v) to drop empty groups, then the
+  // scalar SUM plan. Both sides optimize every plan (as ExecuteSelect
+  // does) and run with the scan cache off; the grouped side is one SUM run
+  // whose per-group row counts give COUNT(*). Identity is UPA_CHECKed.
+  std::string grouped_json;
+  struct GroupedCase {
+    std::string name;
+    rel::PlanPtr relation;
+    std::string key;
+    std::string owner;
+  };
+  const rel::ExprPtr shipped = rel::Ge(rel::Col("l_shipdate"),
+                                       rel::Lit(int64_t{600}));
+  const std::vector<GroupedCase> grouped_cases = {
+      {"part_count_sum",
+       rel::FilterPlan(rel::ScanPlan("lineitem"), shipped), "l_partkey",
+       "lineitem"},
+      {"customer_count_sum_join",
+       rel::FilterPlan(rel::JoinPlan(rel::ScanPlan("orders"),
+                                     rel::ScanPlan("lineitem"), "o_orderkey",
+                                     "l_orderkey"),
+                       shipped),
+       "o_custkey", "orders"},
+  };
+  const rel::ExprPtr price = rel::Col("l_extendedprice");
+  TablePrinter gtable({"query", "groups", "single pass (ms)",
+                       "enumeration (ms)", "speedup", "identical"});
+  for (const GroupedCase& gc : grouped_cases) {
+    rel::ExecOptions opts;
+    opts.use_scan_cache = false;
+    auto run = [&](const rel::PlanPtr& plan) {
+      Result<rel::ExecResult> r = exec.Execute(
+          rel::Optimize(plan, catalog, rel::OptimizerOptions{}), opts);
+      UPA_CHECK_MSG(r.ok(), "bench query failed: " + r.status().ToString());
+      return std::move(r).value();
+    };
+    // (count, sum) per key value, from either side.
+    using Groups = std::map<int64_t, std::pair<double, double>>;
+    Groups single, enumerated;
+    double single_s = 1e100, enum_s = 1e100;
+    for (size_t r = 0; r < env.runs; ++r) {
+      double t0 = Now();
+      rel::ExecResult res = run(rel::WithGroupBy(
+          rel::SumPlan(gc.relation, price), {gc.key}));
+      single_s = std::min(single_s, Now() - t0);
+      single.clear();
+      for (size_t g = 0; g < res.group_keys.size(); ++g) {
+        single[std::get<int64_t>(res.group_keys[g][0])] = {
+            static_cast<double>(res.group_rows[g]), res.group_outputs[g]};
+      }
+    }
+    const rel::Table& owner = data.table(gc.owner);
+    const size_t col = owner.schema().IndexOf(gc.key);
+    for (size_t r = 0; r < env.runs; ++r) {
+      double t0 = Now();
+      std::vector<int64_t> distinct;
+      std::set<int64_t> seen;
+      for (const rel::Row& row : owner.rows()) {
+        const int64_t v = std::get<int64_t>(row[col]);
+        if (seen.insert(v).second) distinct.push_back(v);
+      }
+      enumerated.clear();
+      for (int64_t v : distinct) {
+        rel::PlanPtr filtered = rel::FilterPlan(
+            gc.relation, rel::Eq(rel::Col(gc.key), rel::Lit(v)));
+        const double count = run(rel::CountPlan(filtered)).output;
+        if (count == 0.0) continue;
+        enumerated[v] = {count, run(rel::SumPlan(filtered, price)).output};
+      }
+      enum_s = std::min(enum_s, Now() - t0);
+    }
+    UPA_CHECK_MSG(single.size() == enumerated.size(),
+                  "grouped and enumerated group counts differ");
+    bool identical = true;
+    for (const auto& [k, v] : enumerated) {
+      auto it = single.find(k);
+      identical = identical && it != single.end() &&
+                  it->second.first == v.first &&
+                  std::bit_cast<uint64_t>(it->second.second) ==
+                      std::bit_cast<uint64_t>(v.second);
+    }
+    all_identical = all_identical && identical;
+    const double speedup = enum_s / std::max(1e-9, single_s);
+    gtable.AddRow({gc.name, std::to_string(single.size()),
+                   TablePrinter::FormatDouble(single_s * 1e3, 3),
+                   TablePrinter::FormatDouble(enum_s * 1e3, 3),
+                   TablePrinter::FormatDouble(speedup, 2),
+                   identical ? "yes" : "NO"});
+    if (!grouped_json.empty()) grouped_json += ",\n";
+    grouped_json += "    {\"name\": \"" + gc.name +
+                    "\", \"groups\": " + std::to_string(single.size()) +
+                    ", \"single_pass_ms\": " + JsonNum(single_s * 1e3) +
+                    ", \"enumeration_ms\": " + JsonNum(enum_s * 1e3) +
+                    ", \"speedup\": " + JsonNum(speedup) +
+                    ", \"identical\": " + (identical ? "true" : "false") +
+                    "}";
+  }
+  gtable.Print(
+      "High-cardinality GROUP BY: single pass vs per-group enumeration "
+      "(COUNT + SUM, min over runs)");
+
   const char* path_env = std::getenv("UPA_BENCH_JSON");
   const std::string path = path_env != nullptr ? path_env : "BENCH_exec.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   UPA_CHECK_MSG(f != nullptr, "cannot open " + path);
   std::fprintf(f,
                "{\n  \"experiment\": \"exec_columnar\",\n"
+               "  \"host\": %s,\n"
                "  \"orders\": %zu,\n  \"sample_n\": %zu,\n"
                "  \"runs\": %zu,\n  \"threads\": %zu,\n  \"seed\": %llu,\n"
                "  \"queries\": [\n%s\n  ],\n"
                "  \"phase_bundles\": [\n%s\n  ],\n"
-               "  \"fused\": [\n%s\n  ]\n}\n",
-               env.orders, env.sample_n, env.runs, ctx.pool().thread_count(),
+               "  \"fused\": [\n%s\n  ],\n"
+               "  \"grouped\": [\n%s\n  ]\n}\n",
+               bench::HostJson().c_str(), env.orders, env.sample_n, env.runs,
+               ctx.pool().thread_count(),
                static_cast<unsigned long long>(env.seed),
-               queries_json.c_str(), phases_json.c_str(), fused_json.c_str());
+               queries_json.c_str(), phases_json.c_str(), fused_json.c_str(),
+               grouped_json.c_str());
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
 

@@ -41,10 +41,10 @@ std::string FormatCell(const rel::Value& v) {
   return std::get<std::string>(v);
 }
 
-/// Grouped / multi-item SELECTs run natively (fused kernels per group) and
-/// print a result table. No DP release: per-group release needs DP
-/// partition selection for the key sets (ROADMAP item 1b) — an honest
-/// "native only" banner beats a bogus one-noise-fits-all release.
+/// Grouped / multi-item SELECTs run natively (one grouped pass per
+/// aggregate) and print a result table. No DP release: per-group release
+/// needs DP partition selection for the key sets (ROADMAP item 1b) — an
+/// honest "native only" banner beats a bogus one-noise-fits-all release.
 int RunWide(engine::ExecContext& ctx, const tpch::TpchDataset& data,
             const std::string& sql) {
   rel::Catalog catalog = data.catalog();
@@ -195,8 +195,8 @@ int main(int argc, char** argv) {
       // A literal repeat: hits the sensitivity cache AND trips the
       // enforcer's repeat-query defense.
       "SELECT COUNT(*) FROM lineitem",
-      // Grouped query: runs natively through the fused per-group kernels
-      // and prints a table (no DP release yet — see the banner).
+      // Grouped query: runs natively as one grouped fused pass and prints
+      // a table (no DP release yet — see the banner).
       "SELECT l_returnflag, COUNT(*) AS n, SUM(l_quantity) AS qty "
       "FROM lineitem GROUP BY l_returnflag ORDER BY qty DESC",
   };

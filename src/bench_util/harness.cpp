@@ -1,6 +1,7 @@
 #include "bench_util/harness.h"
 
 #include <cstdio>
+#include <thread>
 
 #include "common/env.h"
 
@@ -45,6 +46,20 @@ void PrintBanner(const std::string& experiment, const BenchEnv& env) {
       experiment.c_str(), env.orders, env.ml_points, env.sample_n, env.trials,
       env.runs, static_cast<unsigned long long>(env.seed));
   std::fflush(stdout);
+}
+
+std::string HostJson() {
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" + compiler + "\", \"build_type\": \"" +
+         UPA_BUILD_TYPE + "\", \"git_sha\": \"" + UPA_GIT_SHA + "\"}";
 }
 
 }  // namespace upa::bench

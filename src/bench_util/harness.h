@@ -41,4 +41,10 @@ struct BenchEnv {
 /// Prints the standard experiment banner (experiment id, scales, seed).
 void PrintBanner(const std::string& experiment, const BenchEnv& env);
 
+/// The host header every BENCH_*.json carries, as one JSON object:
+/// {"nproc", "compiler", "build_type", "git_sha"}. The build type and the
+/// commit (`git describe --always --dirty`) are recorded when CMake
+/// configures the build.
+std::string HostJson();
+
 }  // namespace upa::bench

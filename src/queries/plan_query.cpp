@@ -39,6 +39,10 @@ core::QueryInstance MakePlanQuery(
                                    sample_indices.end());
         const std::vector<rel::Row>* replacement =
             rows_override != nullptr ? rows_override.get() : nullptr;
+        // The three phase runs share the public side (scans and fully
+        // public join subtrees) through a cache this execution owns, so its
+        // entries die with the execution.
+        engine::BlockCache cache(&ctx->metrics());
 
         // --- 1. S' run: per-partition aggregates of the unsampled side.
         {
@@ -50,7 +54,7 @@ core::QueryInstance MakePlanQuery(
           opts.replace_private_rows = replacement;
           opts.exclude_rows = &sample;
           opts.partitions = num_partitions;
-          opts.cache_epoch = seed;
+          opts.cache = &cache;
           Result<rel::ExecResult> r = ctx->TimePhase(
               "upa/plan_sprime", [&] { return executor->Execute(query.plan, opts); });
           UPA_CHECK_MSG(r.ok(), "S' run failed: " + r.status().ToString());
@@ -69,7 +73,7 @@ core::QueryInstance MakePlanQuery(
           opts.replace_private_rows = replacement;
           opts.include_rows = &sample;
           opts.track_contributions = true;
-          opts.cache_epoch = seed;
+          opts.cache = &cache;
           Result<rel::ExecResult> r = ctx->TimePhase(
               "upa/plan_sample", [&] { return executor->Execute(query.plan, opts); });
           UPA_CHECK_MSG(r.ok(), "sample run failed: " + r.status().ToString());
@@ -95,7 +99,7 @@ core::QueryInstance MakePlanQuery(
           opts.private_table = query.private_table;
           opts.replace_private_rows = &synthetic;
           opts.track_contributions = true;
-          opts.cache_epoch = seed;
+          opts.cache = &cache;
           Result<rel::ExecResult> r = ctx->TimePhase(
               "upa/plan_domain", [&] { return executor->Execute(query.plan, opts); });
           UPA_CHECK_MSG(r.ok(), "domain run failed: " + r.status().ToString());

@@ -18,6 +18,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "relational/fused.h"
+#include "relational/group_by.h"
 #include "relational/kernels.h"
 
 namespace upa::rel {
@@ -703,14 +704,14 @@ class ColumnarEvaluator {
                            !options_.private_table.empty() &&
                            CountScansOf(plan, options_.private_table) == 0;
     if (cacheable) {
+      engine::BlockCache& cache = RunCache(ctx_, options_);
       uint64_t key = PlanFingerprint(plan, *catalog_) ^
-                     Mix64(kColSubtreeTag + engine_partitions_) ^
-                     Mix64(options_.cache_epoch);
-      std::shared_ptr<const ColRel> hit = ctx_->cache().Get<ColRel>(key);
+                     Mix64(kColSubtreeTag + engine_partitions_);
+      std::shared_ptr<const ColRel> hit = cache.Get<ColRel>(key);
       if (hit != nullptr) return *hit;
       Result<ColRel> fresh = EvalUncached(plan);
       if (!fresh.ok()) return fresh;
-      ctx_->cache().Put<ColRel>(key, fresh.value());
+      cache.Put<ColRel>(key, fresh.value());
       return fresh;
     }
     return EvalUncached(plan);
@@ -1010,6 +1011,64 @@ struct BatchAgg {
   double mx = -std::numeric_limits<double>::infinity();
 };
 
+/// Grouped aggregate over an evaluated relation: a group id per relation
+/// position (GroupIndex over the key columns' physical rows), then one
+/// batch pass that folds every row into its morsel's dense per-group state.
+Result<ExecResult> AggregateGrouped(engine::ExecContext* ctx,
+                                    const PlanNode& plan, const ColRel& rel) {
+  Result<std::vector<size_t>> pos = GroupKeyPositions(plan, rel.schema);
+  if (!pos.ok()) return pos.status();
+  const std::vector<const Column*> cols = PhysicalColumns(rel);
+  std::vector<const Column*> key_cols;
+  std::vector<const uint32_t*> key_rows;
+  for (size_t p : pos.value()) {
+    key_cols.push_back(cols[p]);
+    key_rows.push_back(rel.sources[rel.col_map[p].first].row_ids->data());
+  }
+  GroupIndex index(std::move(key_cols));
+  const size_t n = rel.num_rows;
+  const std::vector<uint32_t> gid = index.Assign(key_rows, n);
+
+  const bool need_expr = plan.agg != AggKind::kCount;
+  const bool need_sum = plan.agg == AggKind::kSum || plan.agg == AggKind::kAvg;
+  std::optional<CompiledExpr> weight;
+  BatchInput in;
+  if (need_expr) {
+    weight.emplace(CompileExpr(plan.agg_expr, rel.schema, cols));
+    in = BindColumns(rel, cols);
+  }
+  SelVector all(n);
+  std::iota(all.begin(), all.end(), 0u);
+
+  const size_t nb = NumBatches(n);
+  GroupStates states(nb, ctx->pool().thread_count(), index.num_groups());
+  MorselRun(ctx, "columnar/aggregate", nb, states.grain(),
+            [&](size_t b0, size_t b1) {
+    GroupAcc* state = states.For(b0);
+    std::vector<double> w;
+    for (size_t b = b0; b < b1; ++b) {
+      const size_t begin = b * kBatch, end = std::min(n, begin + kBatch);
+      const size_t m = end - begin;
+      if (need_expr) {
+        w.resize(m);
+        ProjectKernel(*weight, in, all.data() + begin, m, w.data());
+      }
+      for (size_t i = 0; i < m; ++i) {
+        GroupAcc& acc = state[gid[begin + i]];
+        ++acc.rows;
+        if (!need_expr) continue;
+        if (need_sum) acc.sum.Add(w[i]);
+        acc.mn = w[i] < acc.mn ? w[i] : acc.mn;
+        acc.mx = w[i] > acc.mx ? w[i] : acc.mx;
+      }
+    }
+  });
+  ctx->metrics().AddKernelBatches(nb);
+  ctx->metrics().AddKernelRows(n);
+  UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
+  return states.Finish(plan.agg, index);
+}
+
 }  // namespace
 
 Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
@@ -1031,15 +1090,14 @@ Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
                     table_name == options.private_table;
   if (!bind.is_private) {
     if (options.use_scan_cache) {
-      // Route through the context block cache so scan reuse across phase
+      // Route through the run's block cache so scan reuse across phase
       // runs is observable in the hit/miss metrics (the Fig 4(b) effect),
       // exactly like the row engine's materialized-scan cache.
-      uint64_t key = Mix64(table->uid()) ^
-                     Mix64(kColScanTag + engine_partitions) ^
-                     Mix64(options.cache_epoch);
-      auto cached =
-          ctx->cache().GetOrCompute<std::shared_ptr<const ColumnarTable>>(
-              key, [&] { return table->Columnar(); });
+      uint64_t key =
+          Mix64(table->uid()) ^ Mix64(kColScanTag + engine_partitions);
+      auto cached = RunCache(ctx, options)
+                        .GetOrCompute<std::shared_ptr<const ColumnarTable>>(
+                            key, [&] { return table->Columnar(); });
       bind.table = *cached;
     } else {
       bind.table = table->Columnar();
@@ -1112,6 +1170,8 @@ Result<ExecResult> ExecuteColumnar(engine::ExecContext* ctx,
         "aggregate expression references unknown column in " +
         rel.schema.ToString());
   }
+
+  if (!plan->group_by.empty()) return AggregateGrouped(ctx, *plan, rel);
 
   const size_t n = rel.num_rows;
   const size_t nb = NumBatches(n);

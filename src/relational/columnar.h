@@ -189,6 +189,8 @@ Result<ScanBinding> BindScanSource(engine::ExecContext* ctx,
 /// tables/columns/join keys. Results are bit-identical to the row path.
 /// Fusible Aggregate(Filter*(Scan)) chains run on the single-pass fused
 /// kernels (relational/fused.h) unless the root's FuseMode says otherwise.
+/// A grouped root folds every row into its group in one batch pass over
+/// the evaluated relation (relational/group_by.h).
 Result<ExecResult> ExecuteColumnar(engine::ExecContext* ctx,
                                    const Catalog* catalog,
                                    const PlanPtr& plan,

@@ -10,6 +10,7 @@
 #include "engine/dataset.h"
 #include "engine/shuffle.h"
 #include "relational/columnar.h"
+#include "relational/group_by.h"
 
 namespace upa::rel {
 namespace {
@@ -59,10 +60,9 @@ class Evaluator {
                            CountScansOf(plan, options_.private_table) == 0;
     if (cacheable) {
       uint64_t key = PlanFingerprint(plan, *catalog_) ^
-                     Mix64(kRowSubtreeTag + engine_partitions_) ^
-                     Mix64(options_.cache_epoch);
+                     Mix64(kRowSubtreeTag + engine_partitions_);
       std::shared_ptr<const CachedRel> hit =
-          ctx_->cache().Get<CachedRel>(key);
+          RunCache(ctx_, options_).Get<CachedRel>(key);
       if (hit != nullptr) {
         return Rel{engine::Dataset<ProvRow>(ctx_, hit->partitions),
                    hit->schema};
@@ -77,7 +77,7 @@ class Evaluator {
       }
       entry.partitions = std::move(parts);
       entry.schema = fresh.value().schema;
-      ctx_->cache().Put<CachedRel>(key, std::move(entry));
+      RunCache(ctx_, options_).Put<CachedRel>(key, std::move(entry));
       return fresh;
     }
     return EvalUncached(plan);
@@ -165,11 +165,10 @@ class Evaluator {
     };
     if (!options_.use_scan_cache) return materialize();
 
-    uint64_t key = Mix64(table->uid()) ^
-                   Mix64(kRowScanTag + engine_partitions_) ^
-                   Mix64(options_.cache_epoch);
+    uint64_t key =
+        Mix64(table->uid()) ^ Mix64(kRowScanTag + engine_partitions_);
     std::shared_ptr<const Partitions> cached =
-        ctx_->cache().GetOrCompute<Partitions>(key, [&] {
+        RunCache(ctx_, options_).GetOrCompute<Partitions>(key, [&] {
           engine::Dataset<ProvRow> ds = materialize();
           Partitions parts(ds.NumPartitions());
           for (size_t p = 0; p < ds.NumPartitions(); ++p) {
@@ -280,6 +279,43 @@ Result<ExecResult> ExecuteNonAdditive(
   return result;
 }
 
+/// Grouped aggregate: one hash-map pass over the evaluated rows, keyed on
+/// the rows' key identities (relational/group_by.h).
+Result<ExecResult> ExecuteGrouped(
+    const PlanNode& plan, const Rel& rel,
+    const std::function<double(const Row&)>& weight_of) {
+  Result<std::vector<size_t>> pos = GroupKeyPositions(plan, rel.schema);
+  if (!pos.ok()) return pos.status();
+  std::unordered_map<Row, uint32_t, KeyRowHash, KeyRowEq> ids;
+  std::vector<Row> keys;
+  std::vector<GroupAcc> accs;
+  Row identity(pos.value().size());
+  for (size_t p = 0; p < rel.data.NumPartitions(); ++p) {
+    for (const ProvRow& r : rel.data.partition(p)) {
+      for (size_t k = 0; k < identity.size(); ++k) {
+        identity[k] = KeyIdentity(r.row[pos.value()[k]]);
+      }
+      auto [it, fresh] =
+          ids.try_emplace(identity, static_cast<uint32_t>(keys.size()));
+      if (fresh) {
+        Row key;
+        for (size_t c : pos.value()) key.push_back(CanonicalKey(r.row[c]));
+        keys.push_back(std::move(key));
+        accs.emplace_back();
+      }
+      GroupAcc& acc = accs[it->second];
+      const double w = weight_of(r.row);
+      ++acc.rows;
+      acc.sum.Add(w);
+      acc.mn = std::min(acc.mn, w);
+      acc.mx = std::max(acc.mx, w);
+    }
+  }
+  ExecResult result;
+  FinishGroups(plan.agg, keys, accs, result);
+  return result;
+}
+
 }  // namespace
 
 PlanExecutor::PlanExecutor(engine::ExecContext* ctx, const Catalog* catalog)
@@ -297,6 +333,15 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
         "include_rows and exclude_rows are mutually exclusive");
   }
   const bool needs_prov = !options.private_table.empty();
+  if (!plan->group_by.empty() &&
+      (needs_prov || options.include_rows != nullptr ||
+       options.exclude_rows != nullptr ||
+       options.replace_private_rows != nullptr || options.partitions > 0 ||
+       options.track_contributions)) {
+    return Status::Unsupported(
+        "provenance options on a grouped aggregate: per-group DP release "
+        "is not supported");
+  }
   if (needs_prov) {
     size_t scans = CountScansOf(plan, options.private_table);
     if (scans == 0) {
@@ -340,6 +385,9 @@ Result<ExecResult> PlanExecutor::Execute(const PlanPtr& plan,
           schema.ToString());
     }
     weight_of = BindNumeric(plan->agg_expr, schema);
+  }
+  if (!plan->group_by.empty()) {
+    return ExecuteGrouped(*plan, rel.value(), weight_of);
   }
   if (!additive) {
     return ExecuteNonAdditive(plan->agg, rel.value().data, weight_of);

@@ -52,14 +52,15 @@ struct ExecOptions {
   /// added" neighbours; churned datasets). Provenance = position in this
   /// vector. include/exclude compose on top.
   const std::vector<Row>* replace_private_rows = nullptr;
-  /// Cache non-private scans and fully-public plan subtrees in the
-  /// context's block cache (keyed by table/plan identity + parallelism +
-  /// cache_epoch). UPA's phase runs of one execution share an epoch, so
-  /// the S' / sample / domain passes reuse the public side — the effect
-  /// behind the paper's Fig 4(b) — without leaking warm state across
-  /// independent executions.
+  /// Cache non-private scans and fully-public plan subtrees in a block
+  /// cache (keyed by table/plan identity + parallelism).
   bool use_scan_cache = true;
-  uint64_t cache_epoch = 0;
+  /// The block cache for use_scan_cache; nullptr = the context's. UPA's
+  /// phase runs of one execution pass a cache the execution owns, so the
+  /// S' / sample / domain passes reuse the public side — the effect behind
+  /// the paper's Fig 4(b) — and the entries die with the execution instead
+  /// of piling up in the context across independent executions.
+  engine::BlockCache* cache = nullptr;
   /// If > 0: also produce per-partition outputs, where private record i
   /// belongs to partition i % partitions. Result rows with no private
   /// provenance count toward every partition (they are unaffected by any
@@ -71,6 +72,13 @@ struct ExecOptions {
   size_t engine_partitions = 0;
 };
 
+/// The block cache a run with `options` uses: options.cache, else the
+/// context's.
+inline engine::BlockCache& RunCache(engine::ExecContext* ctx,
+                                    const ExecOptions& options) {
+  return options.cache != nullptr ? *options.cache : ctx->cache();
+}
+
 struct ExecResult {
   /// The scalar aggregate (Count or Sum at the plan root).
   double output = 0.0;
@@ -81,6 +89,13 @@ struct ExecResult {
   std::unordered_map<size_t, double> contributions;
   /// Rows that reached the aggregate.
   size_t result_rows = 0;
+  /// Grouped roots only (non-empty PlanNode::group_by; `output` stays 0):
+  /// one entry per group of rows that reached the aggregate, in key order
+  /// — canonical key tuple, aggregate output and row count per group
+  /// (relational/group_by.h).
+  std::vector<Row> group_keys;
+  std::vector<double> group_outputs;
+  std::vector<size_t> group_rows;
 };
 
 class PlanExecutor {
@@ -88,7 +103,10 @@ class PlanExecutor {
   PlanExecutor(engine::ExecContext* ctx, const Catalog* catalog);
 
   /// Executes a plan whose root is an Aggregate. Fails with
-  /// INVALID_ARGUMENT / NOT_FOUND / UNSUPPORTED on malformed plans.
+  /// INVALID_ARGUMENT / NOT_FOUND / UNSUPPORTED on malformed plans, and
+  /// with UNSUPPORTED when a grouped root meets provenance options
+  /// (private table, include/exclude/replace rows, partitions,
+  /// contributions): per-group DP release is not implemented.
   Result<ExecResult> Execute(const PlanPtr& plan,
                              const ExecOptions& options = {}) const;
 

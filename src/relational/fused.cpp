@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "common/exact_sum.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "relational/group_by.h"
 #include "relational/kernels.h"
 
 namespace upa::rel {
@@ -449,6 +451,33 @@ void AccumulateInto(const FusedQuery& q, BatchAcc& acc, const uint32_t* sel,
   }
 }
 
+/// Fold target of a grouped query: the dense group id of every relation
+/// position and the morsel's dense per-group state.
+struct GroupedAcc {
+  size_t rows = 0;
+  const uint32_t* gid = nullptr;
+  GroupAcc* groups = nullptr;
+};
+
+/// The grouped twin of the scalar fold above: each survivor lands in its
+/// group's slot. Provenance never reaches here (grouped roots reject it).
+template <bool Dense, typename GetW>
+void AccumulateInto(const FusedQuery& q, GroupedAcc& acc, const uint32_t* sel,
+                    uint32_t begin, size_t m, GetW getw) {
+  for (size_t i = 0; i < m; ++i) {
+    const uint32_t pos = Dense ? begin + static_cast<uint32_t>(i) : sel[i];
+    GroupAcc& g = acc.groups[acc.gid[pos]];
+    ++g.rows;
+    if (!q.need_expr) continue;
+    const double w = getw(i, pos);
+    if (q.need_sum) g.sum.Add(w);
+    if (q.minmax) {
+      g.mn = w < g.mn ? w : g.mn;
+      g.mx = w > g.mx ? w : g.mx;
+    }
+  }
+}
+
 /// Scratch buffers reused across one morsel's batches.
 struct Scratch {
   SelVector cur, nxt, iota;
@@ -456,9 +485,12 @@ struct Scratch {
 };
 
 /// Runs one batch end to end: conjunct chain with short-circuit selection,
-/// then accumulation of the survivors.
+/// then accumulation of the survivors into `acc` (BatchAcc for a scalar
+/// root, GroupedAcc for a grouped one).
+template <typename Acc>
 void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
-                  BatchAcc& acc, Scratch& s) {
+                  Acc& acc, Scratch& s) {
+  constexpr bool kGrouped = std::is_same_v<Acc, GroupedAcc>;
   const size_t full = end - begin;
   bool dense = true;
   size_t m = full;
@@ -501,8 +533,8 @@ void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
   if (!q.need_expr) {
     // Count: the total is the row count (an exact sum of ones rounds to
     // exactly the count, so adding the count once at merge time is
-    // bit-identical); only provenance needs the per-row loop.
-    if (q.prov != nullptr && (q.track_contrib || q.parts > 0)) {
+    // bit-identical); only provenance and groups need the per-row loop.
+    if (kGrouped || (q.prov != nullptr && (q.track_contrib || q.parts > 0))) {
       auto one = [](size_t, uint32_t) { return 1.0; };
       if (dense) {
         AccumulateInto<true>(q, acc, sel, begin, m, one);
@@ -567,9 +599,11 @@ void ProcessBatch(const FusedQuery& q, uint32_t begin, uint32_t end,
 /// MorselRun's twin (columnar.cpp keeps its copy file-local): shared-cursor
 /// scheduling plus the per-phase duration histogram and task fan-out.
 void FusedMorselRun(engine::ExecContext* ctx, const std::string& phase,
-                    size_t n, const std::function<void(size_t, size_t)>& fn) {
+                    size_t n, size_t grain,
+                    const std::function<void(size_t, size_t)>& fn) {
   ThreadPool::MorselTimings timings;
-  const size_t morsels = ctx->pool().ParallelForMorsels(n, 0, fn, &timings);
+  const size_t morsels =
+      ctx->pool().ParallelForMorsels(n, grain, fn, &timings);
   ctx->metrics().RecordMorselRun(phase, timings.seconds);
   ctx->metrics().AddPhaseTasks(phase, morsels);
 }
@@ -632,9 +666,13 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
         "aggregate expression references unknown column in " +
         schema.ToString());
   }
+  Result<std::vector<size_t>> key_pos = GroupKeyPositions(*plan, schema);
+  if (!key_pos.ok()) return key_pos.status();
 
   std::vector<const Column*> cols(schema.NumColumns());
   for (size_t i = 0; i < cols.size(); ++i) cols[i] = &table.column(i);
+  std::vector<const Column*> key_cols;
+  for (size_t p : key_pos.value()) key_cols.push_back(cols[p]);
   const bool bare = bind.row_ids == table.identity();
   const uint32_t* ids = bind.row_ids->data();
   const size_t n = bind.row_ids->size();
@@ -708,19 +746,41 @@ Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
   }
 
   const size_t nb = layout.size();
+  auto skipped = [&](const Batch& br) {
+    return br.fragment >= 0 && !frag_match.empty() && !frag_match[br.fragment];
+  };
+  if (!plan->group_by.empty()) {
+    // Dense group ids for every relation position (one pass over the key
+    // columns), then the same batch loop folding into per-morsel state.
+    GroupIndex index(std::move(key_cols));
+    const std::vector<uint32_t> gid =
+        index.Assign(std::vector<const uint32_t*>(plan->group_by.size(), ids),
+                     n);
+    GroupStates states(nb, ctx->pool().thread_count(), index.num_groups());
+    auto fold = [&](size_t b0, size_t b1) {
+      GroupedAcc acc{0, gid.data(), states.For(b0)};
+      Scratch s;
+      for (size_t b = b0; b < b1; ++b) {
+        const Batch& br = layout[b];
+        if (!skipped(br)) ProcessBatch(q, br.begin, br.end, acc, s);
+      }
+    };
+    FusedMorselRun(ctx, "columnar/fused", nb, states.grain(), fold);
+    ctx->metrics().AddKernelBatches(nb);
+    ctx->metrics().AddKernelRows(n);
+    UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
+    return states.Finish(plan->agg, index);
+  }
+
   std::vector<BatchAcc> accs(nb);
   if (q.parts > 0 && q.prov != nullptr) {
     for (BatchAcc& a : accs) a.parts.resize(q.parts);
   }
-  FusedMorselRun(ctx, "columnar/fused", nb, [&](size_t b0, size_t b1) {
+  FusedMorselRun(ctx, "columnar/fused", nb, 0, [&](size_t b0, size_t b1) {
     Scratch s;
     for (size_t b = b0; b < b1; ++b) {
       const Batch& br = layout[b];
-      if (br.fragment >= 0 && !frag_match.empty() &&
-          !frag_match[br.fragment]) {
-        continue;
-      }
-      ProcessBatch(q, br.begin, br.end, accs[b], s);
+      if (!skipped(br)) ProcessBatch(q, br.begin, br.end, accs[b], s);
     }
   });
   ctx->metrics().AddKernelBatches(nb);

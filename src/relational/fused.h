@@ -31,6 +31,10 @@
 //     output-equivalent to scanning it;
 //   * every accumulation goes through ExactSum with the interpreted
 //     path's exact per-row expressions (min/max NaN handling included).
+// A grouped root (PlanNode::group_by) runs the same chain: a dense group id
+// per relation position is built from the keys' physical form first
+// (relational/group_by.h), and a separate instantiation of the batch loop
+// folds each survivor into its group's slot — the scalar loop is unchanged.
 // The SQL fuzzer (tests/relational_sql_fuzz_test.cpp) and the fused
 // differential suite assert all of this across thread counts and fragment
 // sizes.
@@ -58,15 +62,16 @@ struct FusedShape {
   std::string table;
 };
 
-/// Matches `plan` against the fusible shape. Returns nullopt for joins,
-/// nested aggregates, or non-aggregate roots; the FuseMode on the root is
-/// NOT consulted here (callers combine shape and mode).
+/// Matches `plan` against the fusible shape (scalar or grouped root).
+/// Returns nullopt for joins, nested aggregates, or non-aggregate roots;
+/// the FuseMode on the root is NOT consulted here (callers combine shape
+/// and mode).
 std::optional<FusedShape> FusableShape(const PlanPtr& plan);
 
 /// Executes a fusible plan in a single pass. Expects `shape` from
 /// FusableShape(plan) and an Aggregate root; returns the same statuses and
 /// bit-identical results (outputs, partition_outputs, contributions,
-/// result_rows) as the interpreted columnar path.
+/// result_rows, per-group results) as the interpreted columnar path.
 Result<ExecResult> ExecuteFused(engine::ExecContext* ctx,
                                 const Catalog* catalog, const PlanPtr& plan,
                                 const FusedShape& shape,

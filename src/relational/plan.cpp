@@ -77,6 +77,13 @@ PlanPtr WithFuseMode(const PlanPtr& plan, FuseMode mode) {
   return n;
 }
 
+PlanPtr WithGroupBy(const PlanPtr& plan, std::vector<std::string> keys) {
+  UPA_CHECK(plan != nullptr && plan->kind == PlanKind::kAggregate);
+  auto n = std::make_shared<PlanNode>(*plan);
+  n->group_by = std::move(keys);
+  return n;
+}
+
 namespace {
 
 void AnalyzeInto(const PlanPtr& plan, PlanStats& stats) {
@@ -148,6 +155,12 @@ Result<Schema> CheckedSchema(const PlanPtr& plan, const Catalog& catalog) {
             std::string(filter ? "filter" : "aggregate") +
             " references unknown column in " + expr->ToString());
       }
+      for (const std::string& key : plan->group_by) {
+        if (!child.value().Has(key)) {
+          return Status::InvalidArgument(
+              "group by references unknown column: " + key);
+        }
+      }
       return child;
     }
     case PlanKind::kJoin: {
@@ -197,15 +210,21 @@ std::string PlanToString(const PlanPtr& plan) {
              PlanToString(plan->right) + ", " + plan->left_key + "=" +
              plan->right_key + ")";
     case PlanKind::kAggregate: {
+      std::string out;
       if (plan->agg == AggKind::kCount) {
-        return "Count(" + PlanToString(plan->left) + ")";
+        out = "Count(" + PlanToString(plan->left) + ")";
+      } else {
+        const char* name = plan->agg == AggKind::kSum   ? "Sum"
+                           : plan->agg == AggKind::kAvg ? "Avg"
+                           : plan->agg == AggKind::kMin ? "Min"
+                                                        : "Max";
+        out = std::string(name) + "(" + PlanToString(plan->left) + ", " +
+              plan->agg_expr->ToString() + ")";
       }
-      const char* name = plan->agg == AggKind::kSum   ? "Sum"
-                         : plan->agg == AggKind::kAvg ? "Avg"
-                         : plan->agg == AggKind::kMin ? "Min"
-                                                      : "Max";
-      return std::string(name) + "(" + PlanToString(plan->left) + ", " +
-             plan->agg_expr->ToString() + ")";
+      for (size_t k = 0; k < plan->group_by.size(); ++k) {
+        out += (k == 0 ? " BY " : ", ") + plan->group_by[k];
+      }
+      return out;
     }
   }
   return "?";
@@ -236,6 +255,9 @@ uint64_t PlanFingerprint(const PlanPtr& plan, const Catalog& catalog) {
       h = HashCombine(h, static_cast<uint64_t>(plan->agg));
       h = HashCombine(h, static_cast<uint64_t>(plan->fuse));
       h = HashCombine(h, ExprFingerprint(plan->agg_expr));
+      for (const std::string& key : plan->group_by) {
+        h = HashCombine(h, Fnv1a(key));
+      }
       return HashCombine(h, PlanFingerprint(plan->left, catalog));
   }
   return h;

@@ -64,6 +64,10 @@ struct PlanNode {
   AggKind agg = AggKind::kCount;
   ExprPtr agg_expr;  // summed expression for kSum
   FuseMode fuse = FuseMode::kAuto;
+  /// Group keys (column names of the child relation). Empty: one scalar
+  /// aggregate. Otherwise the engines report one output per group in one
+  /// pass (ExecResult::group_*; relational/group_by.h). Root only.
+  std::vector<std::string> group_by;
 };
 
 PlanPtr ScanPlan(std::string table);
@@ -79,6 +83,9 @@ PlanPtr MaxPlan(PlanPtr child, ExprPtr expr);
 /// Shallow-copies an Aggregate root with its FuseMode replaced (plans are
 /// immutable shared trees; the child subtree is shared, not copied).
 PlanPtr WithFuseMode(const PlanPtr& plan, FuseMode mode);
+
+/// Shallow-copies an Aggregate root with its group keys replaced.
+PlanPtr WithGroupBy(const PlanPtr& plan, std::vector<std::string> keys);
 
 /// Static shape of a plan — what FLEX looks at.
 struct PlanStats {
@@ -102,6 +109,7 @@ size_t CountScansOf(const PlanPtr& plan, const std::string& table);
 
 /// One-line plan rendering, e.g.
 /// "Count(Join(Filter(Scan(orders)), Scan(lineitem), o_orderkey=l_orderkey))"
+/// A grouped aggregate appends its keys: "Count(Scan(orders)) BY o_custkey".
 std::string PlanToString(const PlanPtr& plan);
 
 /// Structural fingerprint of a plan against a catalog: node kinds,
@@ -114,7 +122,7 @@ std::string PlanToString(const PlanPtr& plan);
 uint64_t PlanFingerprint(const PlanPtr& plan, const Catalog& catalog);
 
 /// Checks every table and column `plan` names (scans, filter predicates,
-/// join keys, the aggregate expression) against `catalog`:
+/// join keys, the aggregate expression and group keys) against `catalog`:
 /// kInvalidArgument naming the first unknown one. The engines make the
 /// same checks when they run a plan; a front door calls this first so a
 /// bad query is refused instead of reaching a run that must not fail.

@@ -1,11 +1,11 @@
 #include "relational/sql_exec.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <unordered_set>
+#include <optional>
 #include <utility>
 
+#include "relational/group_by.h"
 #include "relational/optimizer.h"
 
 namespace upa::rel {
@@ -13,9 +13,10 @@ namespace {
 
 std::string AggRefName(size_t i) { return "$agg" + std::to_string(i); }
 
-/// One scalar aggregate run: optimize, apply the fusion override, execute.
-Result<double> RunPlan(const PlanExecutor& executor, const Catalog& catalog,
-                       PlanPtr plan, const SqlExecOptions& options) {
+/// One aggregate run: optimize, apply the fusion override, execute.
+Result<ExecResult> RunPlan(const PlanExecutor& executor,
+                           const Catalog& catalog, PlanPtr plan,
+                           const SqlExecOptions& options) {
   if (options.optimize) {
     OptimizerOptions opt;
     opt.private_table = options.exec.private_table;
@@ -24,39 +25,118 @@ Result<double> RunPlan(const PlanExecutor& executor, const Catalog& catalog,
   if (options.fuse != FuseMode::kAuto) {
     plan = WithFuseMode(plan, options.fuse);
   }
-  Result<ExecResult> run = executor.Execute(plan, options.exec);
-  if (!run.ok()) return run.status();
-  return run.value().output;
+  return executor.Execute(plan, options.exec);
 }
 
-double NumericOf(const Value& v) {
-  if (std::holds_alternative<int64_t>(v)) {
-    return static_cast<double>(std::get<int64_t>(v));
+/// Where a GROUP BY key comes from: its owning table's column.
+struct KeySource {
+  const Table* table = nullptr;
+  size_t col = 0;
+};
+
+/// For each group key of `groups` (one engine result), the owning table's
+/// first physical row holding it: a scan of the columnar column that stops
+/// once every key was found.
+std::vector<uint32_t> FirstRows(const KeySource& src,
+                                const std::vector<Row>& groups, size_t k) {
+  const Column& col = src.table->Columnar()->column(src.col);
+  DenseIdMap wanted;
+  std::vector<uint32_t> ids;  // per group: its key's id in `wanted`
+  ids.reserve(groups.size());
+  for (const Row& g : groups) {
+    std::optional<uint64_t> code = KeyCodeOf(col, g[k]);
+    UPA_CHECK_MSG(code.has_value(), "group key missing from its table");
+    ids.push_back(wanted.Intern(*code));
   }
-  return std::get<double>(v);
+  std::vector<uint32_t> first(wanted.size(), DenseIdMap::kNone);
+  size_t found = 0;
+  const size_t n = src.table->NumRows();
+  for (uint32_t r = 0; r < n && found < first.size(); ++r) {
+    const uint32_t id = wanted.Find(KeyCode(col, r));
+    if (id != DenseIdMap::kNone && first[id] == DenseIdMap::kNone) {
+      first[id] = r;
+      ++found;
+    }
+  }
+  UPA_CHECK_MSG(found == first.size(), "group key missing from its table");
+  for (uint32_t& id : ids) id = first[id];
+  return ids;
+}
+
+/// The grouped rows [keys..., $agg0, $agg1, ...]: one grouped run per
+/// non-COUNT slot (a COUNT(*)-only query runs one grouped count), COUNT(*)
+/// from the runs' per-group row counts. Rows are ordered the way the old
+/// candidate-group enumeration produced them: by each key's first
+/// appearance in its owning table, key by key. Each reported key is that
+/// first appearance's cell.
+Result<std::vector<Row>> GroupedRows(const PlanExecutor& executor,
+                                     const Catalog& catalog,
+                                     const SqlSelect& stmt,
+                                     const std::vector<KeySource>& sources,
+                                     const SqlExecOptions& options) {
+  std::vector<std::vector<double>> values(stmt.aggs.size());
+  std::optional<ExecResult> shape;  // keys and row counts of the groups
+  auto run = [&](const AggSlot& slot) -> Result<std::vector<double>> {
+    PlanPtr plan = WithGroupBy(PlanForAgg(stmt.relation, slot), stmt.group_by);
+    Result<ExecResult> r = RunPlan(executor, catalog, plan, options);
+    if (!r.ok()) return r.status();
+    ExecResult& res = r.value();
+    if (!shape.has_value()) {
+      shape = std::move(res);
+      return shape->group_outputs;
+    }
+    if (res.group_rows != shape->group_rows ||
+        !std::equal(res.group_keys.begin(), res.group_keys.end(),
+                    shape->group_keys.begin(), shape->group_keys.end(),
+                    KeyRowEq{})) {
+      return Status::Internal("grouped runs disagree on the groups");
+    }
+    return std::move(res.group_outputs);
+  };
+  for (size_t i = 0; i < stmt.aggs.size(); ++i) {
+    if (stmt.aggs[i].kind == AggKind::kCount) continue;
+    Result<std::vector<double>> out = run(stmt.aggs[i]);
+    if (!out.ok()) return out.status();
+    values[i] = std::move(out).value();
+  }
+  if (!shape.has_value()) {
+    Result<std::vector<double>> out = run(AggSlot{});
+    if (!out.ok()) return out.status();
+  }
+  const std::vector<Row>& keys = shape->group_keys;
+  const size_t ng = keys.size();
+
+  std::vector<std::vector<uint32_t>> first(sources.size());
+  for (size_t k = 0; k < sources.size(); ++k) {
+    first[k] = FirstRows(sources[k], keys, k);
+  }
+  std::vector<size_t> order(ng);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    for (size_t k = 0; k < sources.size(); ++k) {
+      if (first[k][a] != first[k][b]) return first[k][a] < first[k][b];
+    }
+    return false;
+  });
+
+  std::vector<Row> rows;
+  rows.reserve(ng);
+  for (size_t g : order) {
+    Row row;
+    for (size_t k = 0; k < sources.size(); ++k) {
+      row.push_back(sources[k].table->rows()[first[k][g]][sources[k].col]);
+    }
+    for (size_t i = 0; i < stmt.aggs.size(); ++i) {
+      row.push_back(Value{stmt.aggs[i].kind == AggKind::kCount
+                              ? static_cast<double>(shape->group_rows[g])
+                              : values[i][g]});
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 }  // namespace
-
-int TotalOrderCompare(const Value& a, const Value& b) {
-  const bool a_str = std::holds_alternative<std::string>(a);
-  const bool b_str = std::holds_alternative<std::string>(b);
-  if (a_str != b_str) return a_str ? 1 : -1;  // numerics before strings
-  if (a_str) {
-    const std::string& x = std::get<std::string>(a);
-    const std::string& y = std::get<std::string>(b);
-    return x < y ? -1 : (y < x ? 1 : 0);
-  }
-  if (std::holds_alternative<int64_t>(a) &&
-      std::holds_alternative<int64_t>(b)) {
-    int64_t x = std::get<int64_t>(a), y = std::get<int64_t>(b);
-    return x < y ? -1 : (y < x ? 1 : 0);
-  }
-  double x = NumericOf(a), y = NumericOf(b);
-  const bool x_nan = std::isnan(x), y_nan = std::isnan(y);
-  if (x_nan || y_nan) return x_nan == y_nan ? 0 : (x_nan ? 1 : -1);
-  return x < y ? -1 : (x > y ? 1 : 0);
-}
 
 Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
                                    const Catalog& catalog,
@@ -77,11 +157,9 @@ Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
 
   PlanExecutor executor(ctx, &catalog);
 
-  // -- Candidate groups: cross product of per-key distinct values ----------
-  // (first-appearance order per key, so output order is deterministic and
-  // data-driven). Scalar queries get the single keyless group.
-  std::vector<ColumnDef> group_defs;
-  std::vector<Row> groups(1);
+  // -- Internal row schema: [group keys..., $agg0, $agg1, ...] -------------
+  std::vector<ColumnDef> defs;
+  std::vector<KeySource> sources;
   for (const std::string& key : stmt.group_by) {
     std::string owner = OwningTable(stmt.relation, key, catalog);
     if (owner.empty()) {
@@ -91,79 +169,31 @@ Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
     }
     const Table* table = catalog.at(owner);
     const size_t col = table->schema().IndexOf(key);
-    group_defs.push_back(table->schema().column(col));
-
-    std::vector<Value> distinct;
-    std::unordered_set<Value, ValueHash, ValueEq> seen;
-    for (const Row& row : table->rows()) {
-      if (seen.insert(row[col]).second) distinct.push_back(row[col]);
-    }
-    if (groups.size() * std::max<size_t>(distinct.size(), 1) >
-        options.max_groups) {
-      return Status::ResourceExhausted(
-          "candidate group count exceeds max_groups (" +
-          std::to_string(options.max_groups) + "); add a WHERE clause or "
-          "group by lower-cardinality columns");
-    }
-    std::vector<Row> expanded;
-    expanded.reserve(groups.size() * distinct.size());
-    for (const Row& g : groups) {
-      for (const Value& v : distinct) {
-        Row next = g;
-        next.push_back(v);
-        expanded.push_back(std::move(next));
-      }
-    }
-    groups = std::move(expanded);
+    defs.push_back(table->schema().column(col));
+    sources.push_back({table, col});
   }
-
-  // -- Internal row schema: [group keys..., $agg0, $agg1, ...] -------------
-  std::vector<ColumnDef> defs = group_defs;
   for (size_t i = 0; i < stmt.aggs.size(); ++i) {
     defs.push_back({AggRefName(i), ValueType::kDouble});
   }
   const Schema schema{defs};
 
-  // -- Evaluate every aggregate slot per surviving group -------------------
-  const bool grouped = !stmt.group_by.empty();
+  // -- Evaluate the aggregate slots ----------------------------------------
+  // A scalar query is one row, even over an empty relation (COUNT is 0).
   std::vector<Row> group_rows;
-  for (const Row& key_values : groups) {
-    PlanPtr rel = stmt.relation;
-    if (grouped) {
-      ExprPtr pred;
-      for (size_t k = 0; k < key_values.size(); ++k) {
-        ExprPtr eq = Eq(Col(stmt.group_by[k]), Expr::Literal(key_values[k]));
-        pred = pred ? And(std::move(pred), std::move(eq)) : std::move(eq);
-      }
-      rel = FilterPlan(rel, std::move(pred));
-    }
-
-    // Groups are formed from surviving rows: probe with COUNT(*) and drop
-    // key combinations the relation never produces. The scalar (keyless)
-    // "group" always emits its row — COUNT over an empty table is 0.
-    double count = 0.0;
-    bool have_count = false;
-    if (grouped) {
-      Result<double> probe =
-          RunPlan(executor, catalog, CountPlan(rel), options);
-      if (!probe.ok()) return probe.status();
-      count = probe.value();
-      have_count = true;
-      if (count == 0.0) continue;
-    }
-
-    Row row = key_values;
+  if (stmt.group_by.empty()) {
+    Row row;
     for (const AggSlot& slot : stmt.aggs) {
-      if (slot.kind == AggKind::kCount && have_count) {
-        row.push_back(Value{count});
-        continue;
-      }
-      Result<double> out =
-          RunPlan(executor, catalog, PlanForAgg(rel, slot), options);
+      Result<ExecResult> out = RunPlan(
+          executor, catalog, PlanForAgg(stmt.relation, slot), options);
       if (!out.ok()) return out.status();
-      row.push_back(Value{out.value()});
+      row.push_back(Value{out.value().output});
     }
     group_rows.push_back(std::move(row));
+  } else {
+    Result<std::vector<Row>> rows =
+        GroupedRows(executor, catalog, stmt, sources, options);
+    if (!rows.ok()) return rows.status();
+    group_rows = std::move(rows).value();
   }
 
   // -- HAVING --------------------------------------------------------------
@@ -193,7 +223,7 @@ Result<SqlResultSet> ExecuteSelect(engine::ExecContext* ctx,
         if (stmt.order_by[k].desc) c = -c;
         if (c != 0) return c < 0;
       }
-      return false;  // stable_sort keeps group-enumeration order for ties
+      return false;  // stable_sort keeps first-appearance order for ties
     });
   }
 

@@ -1,23 +1,28 @@
 // Executes a parsed single-block SELECT (relational/sql_parser.h) on the
 // engine and returns a result table.
 //
-// The engine itself only runs scalar kAggregate plans, so grouped queries
-// are lowered by enumeration: for each GROUP BY key the owning table's
-// distinct values are collected (first-appearance order), the cross
-// product forms the candidate groups, and every hoisted aggregate slot
-// runs as a scalar plan over Filter(relation, key = value AND ...). A
-// COUNT(*) probe runs first per group and empty groups are dropped — SQL
-// groups are formed from surviving rows, so a key value the WHERE clause
-// eliminates never yields a row. HAVING / select items / ORDER BY are then
-// plain expressions over [group keys..., $agg0, $agg1, ...] evaluated with
-// the row-expression machinery (relational/expr.h).
+// A scalar query runs one aggregate plan per hoisted slot. A grouped query
+// runs one grouped plan (PlanNode::group_by) per distinct non-COUNT slot,
+// and each of those is one pass — one scan, or one join — that every
+// engine folds into per-group state (relational/group_by.h). COUNT(*)
+// comes from the per-group row counts, so a COUNT+SUM query is one pass;
+// a COUNT(*)-only query runs one grouped count. Groups are formed from the
+// rows that survive WHERE, so a key value the WHERE clause eliminates never
+// yields a row. HAVING / select items / ORDER BY are then plain
+// expressions over [group keys..., $agg0, $agg1, ...] evaluated with the
+// row-expression machinery (relational/expr.h).
 //
-// This is deliberately the simple, obviously-correct lowering: each scalar
-// run reuses the whole engine (fused kernels, scan cache, zone maps), and
-// the per-group plans differ only in one pushed-down equality conjunct, so
-// the public scan cache carries the shared work. The candidate-group cross
-// product is capped (SqlExecOptions::max_groups) and overflow fails with
-// RESOURCE_EXHAUSTED rather than running away.
+// Output order: groups are listed by the first appearance of each key in
+// its owning table, key by key (read from the table's columnar column),
+// and each group reports that first appearance's cell as its key. ORDER BY
+// is a stable sort on top, so ties keep that order. There is no cap on the
+// number of groups.
+//
+// Key semantics follow the engine's Compare: -0.0 and 0.0 are one group
+// (reported as whichever the owning table holds first). A NaN key forms
+// one NaN group holding exactly the NaN rows. (The per-group enumeration
+// this replaced filtered with `key = NaN`, which the engine's
+// NaN-equals-everything comparison made true on every row.)
 //
 // ExecuteSelect runs *public* queries: provenance options (private_table,
 // include/exclude/replace rows, partitions, contributions) are rejected —
@@ -36,7 +41,7 @@
 namespace upa::rel {
 
 struct SqlExecOptions {
-  /// Engine options for every scalar aggregate run. Provenance fields must
+  /// Engine options for every aggregate run. Provenance fields must
   /// be unset (see file comment).
   ExecOptions exec;
   /// Run each plan through the cost-based optimizer first.
@@ -44,9 +49,6 @@ struct SqlExecOptions {
   /// Force the fusion decision on every aggregate root (differential tests
   /// pin kFuse/kInterpret); kAuto keeps the optimizer's marking.
   FuseMode fuse = FuseMode::kAuto;
-  /// Cap on candidate groups (the cross product of per-key distinct
-  /// values). Exceeding it fails with RESOURCE_EXHAUSTED.
-  size_t max_groups = 4096;
 };
 
 /// A materialized query result: one column per select item (display names
@@ -68,11 +70,5 @@ Result<SqlResultSet> ExecuteSql(engine::ExecContext* ctx,
                                 const Catalog& catalog,
                                 const std::string& sql,
                                 const SqlExecOptions& options = {});
-
-/// Total-order comparator over Values, safe for std::sort (unlike the
-/// engine's Compare, whose NaN-equals-everything contract breaks strict
-/// weak ordering). Numerics sort before strings, NaN after every number;
-/// int/int compares exactly. Returns <0, 0, >0. Exposed for tests.
-int TotalOrderCompare(const Value& a, const Value& b);
 
 }  // namespace upa::rel

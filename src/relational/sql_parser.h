@@ -1,7 +1,7 @@
 // A SQL front-end for the relational layer: single-block SELECT statements
 // over scans, equi-joins and filters, with scalar and grouped aggregation —
-// the query class the engine actually executes (scalar kAggregate plans,
-// enumerated per group by relational/sql_exec.h).
+// the query class the engine actually executes (kAggregate plans, grouped
+// ones in a single pass per aggregate; see relational/sql_exec.h).
 //
 //   SELECT COUNT(*) FROM lineitem
 //   SELECT SUM(l_extendedprice * l_discount) FROM lineitem
@@ -77,8 +77,8 @@ struct OrderKey {
 
 /// A parsed single-block SELECT. `relation` is the FROM/JOIN/WHERE plan
 /// tree (no aggregate root); grouping, HAVING, ordering and LIMIT are
-/// evaluated by ExecuteSelect (relational/sql_exec.h) on top of scalar
-/// aggregate runs of `relation`.
+/// evaluated by ExecuteSelect (relational/sql_exec.h) on top of aggregate
+/// runs of `relation` (grouped by `group_by` when it is non-empty).
 struct SqlSelect {
   std::vector<SelectItem> items;
   std::vector<AggSlot> aggs;

@@ -80,6 +80,26 @@ int Compare(const Value& a, const Value& b) {
              : (AsString(a) == AsString(b) ? 0 : 1);
 }
 
+int TotalOrderCompare(const Value& a, const Value& b) {
+  const bool a_str = std::holds_alternative<std::string>(a);
+  const bool b_str = std::holds_alternative<std::string>(b);
+  if (a_str != b_str) return a_str ? 1 : -1;  // numerics before strings
+  if (a_str) {
+    const std::string& x = std::get<std::string>(a);
+    const std::string& y = std::get<std::string>(b);
+    return x < y ? -1 : (y < x ? 1 : 0);
+  }
+  if (std::holds_alternative<int64_t>(a) &&
+      std::holds_alternative<int64_t>(b)) {
+    int64_t x = std::get<int64_t>(a), y = std::get<int64_t>(b);
+    return x < y ? -1 : (y < x ? 1 : 0);
+  }
+  double x = AsNumeric(a), y = AsNumeric(b);
+  const bool x_nan = std::isnan(x), y_nan = std::isnan(y);
+  if (x_nan || y_nan) return x_nan == y_nan ? 0 : (x_nan ? 1 : -1);
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
+
 bool ValueEquals(const Value& a, const Value& b) {
   if (IsNumeric(a) != IsNumeric(b)) return false;
   return Compare(a, b) == 0;

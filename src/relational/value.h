@@ -34,6 +34,12 @@ std::string ToString(const Value& v);
 /// strings lexicographically. Comparing a string with a numeric aborts.
 int Compare(const Value& a, const Value& b);
 
+/// Total-order comparator over Values, safe for std::sort (unlike Compare,
+/// whose NaN-equals-everything contract breaks strict weak ordering).
+/// Numerics sort before strings, NaN after every number; int/int compares
+/// exactly. Returns <0, 0, >0.
+int TotalOrderCompare(const Value& a, const Value& b);
+
 /// Equality consistent with Compare (1 == 1.0).
 bool ValueEquals(const Value& a, const Value& b);
 

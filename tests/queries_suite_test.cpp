@@ -199,5 +199,24 @@ TEST_F(SuiteTest, MlInstancesUseChurnedRecords) {
   EXPECT_NEAR(result.value().raw_output, churned_native, 1e-9);
 }
 
+// A release's three phase runs share the public side (scans and fully
+// public join subtrees) through a block cache the release owns: after N
+// releases the context's cache holds exactly what it held before them,
+// while the phase runs still hit each other's entries.
+TEST_F(SuiteTest, ReleasesLeaveTheContextBlockCacheAsTheyFoundIt) {
+  core::UpaRunner runner(TestUpaConfig());
+  engine::ExecContext& ctx = suite_.ctx();
+  const size_t before = ctx.cache().size();
+  const uint64_t hits_before = ctx.metrics().Snapshot().cache_hits;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const char* name : {"TPCH4", "TPCH11", "TPCH21"}) {
+      auto result = runner.Run(suite_.MakeInstance(name), seed);
+      ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    }
+  }
+  EXPECT_EQ(ctx.cache().size(), before);
+  EXPECT_GT(ctx.metrics().Snapshot().cache_hits, hits_before);
+}
+
 }  // namespace
 }  // namespace upa::queries

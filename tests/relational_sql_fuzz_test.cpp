@@ -56,7 +56,9 @@ struct FuzzTable {
   const char* sql;  // FROM / JOIN clause
   std::vector<NumCol> nums;
   std::vector<StrCol> strs;
-  std::vector<const char*> group_cols;  // low-cardinality keys only
+  /// Candidate GROUP BY key lists, low and high cardinality (a query
+  /// picks one, sometimes widened by a second single key).
+  std::vector<std::vector<const char*>> group_keys;
 };
 
 std::vector<FuzzTable> FuzzTables() {
@@ -75,32 +77,39 @@ std::vector<FuzzTable> FuzzTables() {
   tables.push_back({"lineitem",
                     li_nums,
                     {{"l_returnflag", &kReturnFlags}},
-                    {"l_returnflag"}});
+                    {{"l_returnflag"},
+                     {"l_suppkey"},
+                     {"l_partkey"},
+                     {"l_returnflag", "l_suppkey"}}});
   tables.push_back({"orders",
                     ord_nums,
                     {{"o_orderpriority", &tpch::OrderPriorities()},
                      {"o_orderstatus", &kOrderStatus}},
-                    {"o_orderpriority", "o_orderstatus"}});
+                    {{"o_orderpriority"}, {"o_orderstatus"}}});
   tables.push_back({"part",
                     {{"p_size", true, 1, 50}, {"p_partkey", true, 1, 30}},
                     {{"p_brand", &tpch::Brands()},
                      {"p_type", &tpch::PartTypes()}},
-                    {"p_brand"}});
-  // Joined scopes: union of both sides' columns, one low-card key side.
+                    {{"p_brand"}}});
+  // Joined scopes: union of both sides' columns, keys from either side.
   FuzzTable oj;
   oj.sql = "orders JOIN lineitem ON o_orderkey = l_orderkey";
   oj.nums = li_nums;
   oj.nums.insert(oj.nums.end(), ord_nums.begin(), ord_nums.end());
   oj.strs = {{"l_returnflag", &kReturnFlags},
              {"o_orderpriority", &tpch::OrderPriorities()}};
-  oj.group_cols = {"o_orderpriority", "l_returnflag"};
+  oj.group_keys = {{"o_orderpriority"},
+                   {"l_returnflag"},
+                   {"o_custkey"},
+                   {"l_suppkey"},
+                   {"l_returnflag", "l_suppkey"}};
   tables.push_back(oj);
   FuzzTable pj;
   pj.sql = "lineitem JOIN part ON l_partkey = p_partkey";
   pj.nums = li_nums;
   pj.nums.push_back({"p_size", true, 1, 50});
   pj.strs = {{"p_brand", &tpch::Brands()}, {"l_returnflag", &kReturnFlags}};
-  pj.group_cols = {"p_brand"};
+  pj.group_keys = {{"p_brand"}, {"l_partkey"}};
   tables.push_back(pj);
   return tables;
 }
@@ -170,13 +179,14 @@ std::string RandomAgg(const FuzzTable& t, Rng& rng) {
 
 std::string RandomQuery(const std::vector<FuzzTable>& tables, Rng& rng) {
   const FuzzTable& t = tables[rng.UniformU64(tables.size())];
-  const bool grouped = rng.Bernoulli(0.45) && !t.group_cols.empty();
+  const bool grouped = rng.Bernoulli(0.45) && !t.group_keys.empty();
   std::vector<std::string> keys;
   if (grouped) {
-    keys.push_back(t.group_cols[rng.UniformU64(t.group_cols.size())]);
-    if (t.group_cols.size() > 1 && rng.Bernoulli(0.3)) {
-      const char* extra = t.group_cols[rng.UniformU64(t.group_cols.size())];
-      if (extra != keys[0]) keys.push_back(extra);
+    const auto& pick = t.group_keys[rng.UniformU64(t.group_keys.size())];
+    keys.assign(pick.begin(), pick.end());
+    if (keys.size() == 1 && t.group_keys.size() > 1 && rng.Bernoulli(0.3)) {
+      const auto& extra = t.group_keys[rng.UniformU64(t.group_keys.size())];
+      if (extra.size() == 1 && extra[0] != keys[0]) keys.push_back(extra[0]);
     }
   }
 
@@ -209,7 +219,7 @@ std::string RandomQuery(const std::vector<FuzzTable>& tables, Rng& rng) {
 
   if (grouped) {
     sql += " GROUP BY " + keys[0];
-    if (keys.size() > 1) sql += ", " + keys[1];
+    for (size_t k = 1; k < keys.size(); ++k) sql += ", " + keys[k];
     if (rng.Bernoulli(0.3)) {
       sql += " HAVING COUNT(*) > " + std::to_string(rng.UniformU64(5));
     }
