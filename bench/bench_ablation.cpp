@@ -40,8 +40,8 @@ void AblationExclusion() {
         core::ExclusionAggregate(mapped, core::ExclusionStrategy::kNaive);
     double naive_ms = naive_watch.ElapsedMillis();
     Stopwatch scan_watch;
-    auto scan =
-        core::ExclusionAggregate(mapped, core::ExclusionStrategy::kScan);
+    auto scan = core::ExclusionAggregate(
+        mapped, core::ExclusionStrategy::kParallelScan, /*pool=*/nullptr);
     double scan_ms = scan_watch.ElapsedMillis();
 
     double max_diff = 0;

@@ -1,6 +1,7 @@
 // Sequential vs parallel phases 3b/4 (exclusion scan + neighbour-output
-// evaluation + influence + partition partials) across Vec dimensionality
-// and sample size.
+// evaluation + influence; the enforcer's one-pass partition partials run
+// on the calling thread in both modes) across Vec dimensionality and
+// sample size.
 //
 // Phases 1/2 are identical in both modes (execute_phases always runs on
 // the engine), so the table isolates exactly the work the parallel phase

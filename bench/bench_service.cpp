@@ -8,11 +8,13 @@
 // Two sections:
 //   * latency — each SQL query round-trips on an idle connection; best of
 //     UPA_RUNS (first iteration discarded separately as "cold", since it
-//     pays sensitivity inference before the cache warms);
+//     pays sensitivity inference before the cache warms). Every warm run
+//     is a sensitivity-cache hit: no domain run, no neighbour outputs;
 //   * throughput — UPA_PIPELINE-deep windows of the query mix from
 //     concurrent connections, wall-clock queries/sec.
 //
-// Emits BENCH_service.json (override with UPA_BENCH_JSON). Knobs:
+// Emits BENCH_service.json (override with UPA_BENCH_JSON), headed by the
+// host facts (nproc, compiler, build type, commit). Knobs:
 // UPA_ORDERS, UPA_RUNS, UPA_THREADS, UPA_PIPELINE, UPA_SEED.
 #include <algorithm>
 #include <cstdio>
@@ -225,12 +227,13 @@ int main() {
   UPA_CHECK_MSG(f != nullptr, "cannot open " + path);
   std::fprintf(f,
                "{\n  \"experiment\": \"service_e2e\",\n"
+               "  \"host\": %s,\n"
                "  \"orders\": %zu,\n  \"runs\": %zu,\n  \"threads\": %zu,\n"
                "  \"pipeline\": %zu,\n  \"seed\": %llu,\n"
                "  \"latency\": [\n%s\n  ],\n"
                "  \"throughput\": [\n%s\n  ]\n}\n",
-               env.orders, env.runs, threads, window,
-               static_cast<unsigned long long>(env.seed),
+               bench::HostJson().c_str(), env.orders, env.runs, threads,
+               window, static_cast<unsigned long long>(env.seed),
                latency_json.c_str(), throughput_json.c_str());
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());

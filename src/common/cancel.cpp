@@ -2,8 +2,6 @@
 
 namespace upa {
 
-thread_local CancelToken* CancelScope::current_ = nullptr;
-
 namespace {
 
 int64_t SteadyNowNanos() {

@@ -86,7 +86,10 @@ class CancelScope {
   }
 
  private:
-  static thread_local CancelToken* current_;
+  // Inline and constant-initialized: every translation unit reads it with
+  // a plain TLS access instead of going through a dynamic-init wrapper
+  // (which UBSan flags as a store through a null pointer).
+  static inline constinit thread_local CancelToken* current_ = nullptr;
   CancelToken* previous_;
 };
 

@@ -1,9 +1,9 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
-#include <unordered_set>
 
 namespace upa {
 namespace {
@@ -102,15 +102,28 @@ uint64_t Rng::Zipf(uint64_t n, double s) {
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   UPA_CHECK_MSG(k <= n, "cannot sample more items than the population");
-  // Floyd's algorithm: for j in [n-k, n), pick t in [0, j]; insert t or j.
-  std::unordered_set<size_t> chosen;
-  chosen.reserve(k * 2);
+  // Floyd's algorithm: for j in [n-k, n), pick t in [0, j]; take t, or j
+  // when t is already taken (j never is: every earlier pick is < j).
+  // Membership lives in a bitmap over [0, n), so emitting the sorted
+  // indices is one ascending scan of its words.
+  std::vector<uint64_t> chosen((n + 63) / 64, 0);
   for (size_t j = n - k; j < n; ++j) {
     size_t t = static_cast<size_t>(UniformU64(j + 1));
-    if (!chosen.insert(t).second) chosen.insert(j);
+    uint64_t& word = chosen[t / 64];
+    const uint64_t bit = uint64_t{1} << (t % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
+    } else {
+      chosen[j / 64] |= uint64_t{1} << (j % 64);
+    }
   }
-  std::vector<size_t> out(chosen.begin(), chosen.end());
-  std::sort(out.begin(), out.end());
+  std::vector<size_t> out;
+  out.reserve(k);
+  for (size_t w = 0; w < chosen.size() && out.size() < k; ++w) {
+    for (uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1) {
+      out.push_back(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
   return out;
 }
 

@@ -86,8 +86,10 @@ core::QueryInstance MakePlanQuery(
           }
         }
 
-        // --- 3. Domain run: synthetic rows standing in for D \ x.
-        {
+        // --- 3. Domain run: synthetic rows standing in for D \ x. A run
+        //        that asks for none (a sensitivity-cache hit) skips the
+        //        draw and the engine run altogether.
+        if (num_domain > 0) {
           Rng rng = Rng::ForStream(seed, "upa/domain/" + query.name);
           std::vector<rel::Row> synthetic;
           synthetic.reserve(num_domain);

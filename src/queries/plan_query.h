@@ -8,7 +8,8 @@
 //      which re-shuffles the non-private tables and is why join queries
 //      carry >100% overhead in the paper's Fig 2(b).
 //   3. Domain run — the plan over n synthetic private-table rows (the
-//      "record added from D \ x" neighbours).
+//      "record added from D \ x" neighbours). Skipped when the runner asks
+//      for no domain records (a sensitivity-cache hit).
 //
 // The mapped value of private record r is its additive contribution to the
 // aggregate (via join-index provenance); the reducer is scalar addition.

@@ -22,26 +22,6 @@ std::vector<Vec> NaiveExclusion(const std::vector<Vec>& mapped) {
   return out;
 }
 
-std::vector<Vec> ScanExclusion(const std::vector<Vec>& mapped) {
-  const size_t n = mapped.size();
-  // prefix[i] = m[0] ⊕ ... ⊕ m[i-1]  (prefix[0] = identity)
-  // suffix[i] = m[i] ⊕ ... ⊕ m[n-1]  (suffix[n] = identity)
-  std::vector<Vec> prefix(n + 1), suffix(n + 1);
-  prefix[0] = VecSum::Identity();
-  for (size_t i = 0; i < n; ++i) {
-    prefix[i + 1] = VecSum::Combine(prefix[i], mapped[i]);
-  }
-  suffix[n] = VecSum::Identity();
-  for (size_t i = n; i-- > 0;) {
-    suffix[i] = VecSum::Combine(suffix[i + 1], mapped[i]);
-  }
-  std::vector<Vec> out(n);
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = VecSum::Combine(prefix[i], suffix[i + 1]);
-  }
-  return out;
-}
-
 /// Upper bound on kParallelScan's block count. Boundaries are a function of
 /// n alone so the result cannot depend on how many workers execute the
 /// blocks; 64 blocks keeps every realistic pool saturated while the
@@ -126,8 +106,6 @@ std::vector<Vec> ExclusionAggregate(const std::vector<Vec>& mapped,
   switch (strategy) {
     case ExclusionStrategy::kNaive:
       return NaiveExclusion(mapped);
-    case ExclusionStrategy::kScan:
-      return ScanExclusion(mapped);
     case ExclusionStrategy::kParallelScan:
       return ParallelScanExclusion(mapped, pool);
   }

@@ -8,7 +8,7 @@
 //
 //   excl[i] = prefix[i-1] ⊕ suffix[i+1]
 //
-// kParallelScan is the chunked form of the same scan: each fixed-size block
+// kParallelScan computes them in chunked form: each fixed-size block
 // computes its local prefix/suffix arrays independently (parallel on the
 // engine thread pool), a cheap sequential pass folds the block totals into
 // per-block before/after values, and a second parallel pass emits
@@ -19,9 +19,9 @@
 // fold has a fixed association order, so the result is bit-identical
 // whether it runs on 1 thread, N threads, or with no pool at all.
 //
-// All strategies are implemented; they must agree to float tolerance
-// (tested), and bench_ablation / bench_phase_parallel measure the gap the
-// scan and the parallelism buy.
+// kNaive is kept for the ablation only; the two must agree to float
+// tolerance (tested), and bench_ablation / bench_phase_parallel measure the
+// gap the scan and the parallelism buy.
 #pragma once
 
 #include <vector>
@@ -36,8 +36,8 @@ namespace upa::core {
 
 enum class ExclusionStrategy {
   kNaive,         // the paper's loop: recombine n-1 values for each i
-  kScan,          // prefix/suffix scans: O(n) combines total
-  kParallelScan,  // chunked block-scan over the engine pool (deterministic)
+  kParallelScan,  // chunked prefix/suffix block-scan: O(n) combines total,
+                  // on the engine pool when given one (deterministic)
 };
 
 /// excl[i] = R over {mapped[j] : j != i}. mapped must be non-empty.

@@ -61,6 +61,10 @@ class RangeEnforcer {
   explicit RangeEnforcer(double tolerance = 1e-9, size_t max_removals = 64)
       : tolerance_(tolerance), max_removals_(max_removals) {}
 
+  /// The most records one enforcement may remove. Removals come in pairs,
+  /// so Enforce's `recompute` sees only even counts up to this cap.
+  size_t max_removals() const { return max_removals_; }
+
   RangeEnforcer(const RangeEnforcer&) = delete;
   RangeEnforcer& operator=(const RangeEnforcer&) = delete;
 

@@ -12,35 +12,30 @@
 namespace upa::core {
 namespace {
 
-/// Reduces the sampled records of each enforcer partition, optionally
-/// excluding the last `removed` sample records (the enforcer's removal
-/// order is deterministic: newest-index first). One task per partition on
-/// `pool` (when given): each partition accumulates its own records in
-/// ascending sample order, exactly the adds the sequential per-index loop
-/// performs for that partition — so the result is bit-identical either way.
-std::vector<Vec> SamplePartitionPartials(
+/// Per-partition reductions of the sampled records at every cut the
+/// enforcer can ask for. The enforcer removes sample records two at a time,
+/// newest index first, so cut c keeps the first n − min(2c, n) records:
+/// cuts[c][j] reduces partition j's records among them. One ascending pass
+/// snapshots each accumulator as it passes a cut, so every partial is the
+/// same Combine sequence (identity, then its records in sample order) a
+/// per-cut fold performs — bit-identical, at the cost of one pass.
+std::vector<std::vector<Vec>> SampleCutPartials(
     const std::vector<Vec>& sample_mapped,
     const std::vector<size_t>& sample_partition, size_t num_partitions,
-    size_t removed, ThreadPool* pool) {
-  std::vector<Vec> partials(num_partitions, VecSum::Identity());
-  size_t keep = sample_mapped.size() > removed
-                    ? sample_mapped.size() - removed
-                    : 0;
-  auto reduce_partition = [&](size_t j) {
-    Vec acc = VecSum::Identity();
-    for (size_t i = 0; i < keep; ++i) {
-      if (sample_partition[i] == j) {
-        acc = VecSum::Combine(std::move(acc), sample_mapped[i]);
-      }
-    }
-    partials[j] = std::move(acc);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(num_partitions, reduce_partition);
-  } else {
-    for (size_t j = 0; j < num_partitions; ++j) reduce_partition(j);
+    size_t num_cuts) {
+  const size_t n = sample_mapped.size();
+  auto keep = [n](size_t c) { return n - std::min(2 * c, n); };
+  std::vector<std::vector<Vec>> cuts(num_cuts);
+  std::vector<Vec> acc(num_partitions, VecSum::Identity());
+  // Cuts fill from the smallest keep (the last cut) up to cut 0 (keep n).
+  size_t next = num_cuts;
+  for (size_t i = 0;; ++i) {
+    while (next > 0 && keep(next - 1) == i) cuts[--next] = acc;
+    if (i == n) break;
+    Vec& part = acc[sample_partition[i]];
+    part = VecSum::Combine(std::move(part), sample_mapped[i]);
   }
-  return partials;
+  return cuts;
 }
 
 }  // namespace
@@ -86,7 +81,7 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
       return;
     }
     // Morsel-driven: workers pull fixed-grain index ranges off a shared
-    // cursor, so one heavy neighbour/partition cannot stall the phase the
+    // cursor, so one heavy neighbour chunk cannot stall the phase the
     // way a static chunk split could. Boundaries depend only on count, so
     // per-slot outputs are bit-identical to the sequential loop.
     ThreadPool::MorselTimings timings;
@@ -121,8 +116,11 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
   UPA_RETURN_IF_ERROR(CancelScope::CheckCurrent());
   UPA_FAILPOINT("upa/phase_map");
   phase_watch.Reset();
+  // The synthetic domain records only feed the neighbour outputs, which a
+  // hinted run never evaluates, so a hit asks for none of them.
+  const size_t num_domain = hint == nullptr ? n : 0;
   MappedBatches batches =
-      query.execute_phases(sample_indices, num_partitions, n, seed);
+      query.execute_phases(sample_indices, num_partitions, num_domain, seed);
   result.seconds.map = phase_watch.ElapsedSeconds();
   // A token that tripped mid-map leaves partially-built batches behind
   // (ParallelFor skips the remaining chunks), so the cancellation must be
@@ -238,20 +236,24 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
     }
   }
 
-  // Per-partition outputs f(x_j) = output of R(S'_j) ⊕ R(S_j). One pool
-  // task per partition (both the partial reduction and the output).
+  // Per-partition outputs f(x_j) = output of R(S'_j) ⊕ R(S_j), at every
+  // cut the enforcer may ask for; removals then become lookups.
+  const size_t num_cuts =
+      config_.enable_enforcer ? enforcer_->max_removals() / 2 + 1 : 1;
+  const std::vector<std::vector<Vec>> cuts = SampleCutPartials(
+      batches.sample_mapped, sample_partition, num_partitions, num_cuts);
+  auto cut_of = [&](size_t removed) -> const std::vector<Vec>& {
+    UPA_CHECK_MSG(removed % 2 == 0 && removed / 2 < cuts.size(),
+                  "the enforcer removes record pairs up to its cap");
+    return cuts[removed / 2];
+  };
   auto partition_outputs_for = [&](size_t removed) {
-    std::vector<Vec> sample_partials =
-        SamplePartitionPartials(batches.sample_mapped, sample_partition,
-                                num_partitions, removed, pool);
+    const std::vector<Vec>& sample_partials = cut_of(removed);
     std::vector<double> outs(num_partitions);
-    run_chunks("upa/partition_outputs", num_partitions,
-               [&](size_t begin, size_t end) {
-                 for (size_t j = begin; j < end; ++j) {
-                   outs[j] = query.OutputOf(VecSum::Combine(
-                       batches.sprime_partials[j], sample_partials[j]));
-                 }
-               });
+    for (size_t j = 0; j < num_partitions; ++j) {
+      outs[j] = query.OutputOf(
+          VecSum::Combine(batches.sprime_partials[j], sample_partials[j]));
+    }
     return outs;
   };
   result.partition_outputs = partition_outputs_for(0);
@@ -270,13 +272,9 @@ Result<UpaRunResult> UpaRunner::Run(const QueryInstance& query,
     result.enforcer =
         session.Enforce(result.partition_outputs, partition_outputs_for);
     if (result.enforcer.records_removed > 0) {
-      // x was shrunk: recompute the reduced value without the removed
-      // sample records (newest-index-first removal order).
-      std::vector<Vec> kept_partials = SamplePartitionPartials(
-          batches.sample_mapped, sample_partition, num_partitions,
-          result.enforcer.records_removed, pool);
+      // x was shrunk: the reduced value without the removed sample records.
       Vec r_s_kept = VecSum::Identity();
-      for (Vec& p : kept_partials) {
+      for (const Vec& p : cut_of(result.enforcer.records_removed)) {
         r_s_kept = VecSum::Combine(std::move(r_s_kept), p);
       }
       f_vec = VecSum::Combine(r_sprime, r_s_kept);

@@ -8,7 +8,8 @@
 //   1. Partition & Sample  — uniformly sample n records S from x; the rest
 //      is S'; records are assigned to enforcer partitions by index.
 //   2. Parallel Map        — delegated to QueryInstance::execute_phases,
-//      which maps S, S' and n synthetic domain records on the engine.
+//      which maps S, S' and n synthetic domain records on the engine (no
+//      domain records when a SensitivityHint supplies the sensitivity).
 //   3. Union-Preserving Reduce — R(M(S')) is computed once (inside
 //      execute_phases, per partition) and reused to derive f(x), the
 //      partition outputs f(x_j), and all sampled-neighbour outputs
@@ -74,8 +75,8 @@ struct UpaConfig {
   bool enable_enforcer = true;
   /// Disable to inspect the un-noised pipeline in tests.
   bool add_noise = true;
-  /// Run phases 3b/4 (neighbour-output evaluation, influence computation,
-  /// partition partials) on the engine thread pool. The parallel path is
+  /// Run phases 3b/4 (exclusion scans, neighbour-output evaluation,
+  /// influence computation) on the engine thread pool. The parallel path is
   /// bit-identical to the sequential one (fixed chunk boundaries and
   /// combine orders); disable only to measure the speedup it buys.
   bool parallel_phases = true;
@@ -125,11 +126,13 @@ struct UpaRunResult {
 
 /// Previously inferred sensitivity + output range for a query shape, as
 /// cached by the service layer (keyed by plan fingerprint × dataset
-/// epoch). Passing it to Run skips phase 3b's exclusion scans and the
-/// sensitivity fit — the expensive part of a repeat query — while leaving
-/// the release path (partition outputs, enforcer, clamp, noise) intact,
-/// so a hinted run releases bit-identically to the full run that produced
-/// the hint.
+/// epoch). The synthetic domain records and the sampled-neighbour outputs
+/// exist only to infer sensitivity, so a hinted Run skips them: no domain
+/// run (execute_phases is asked for zero domain records), no exclusion
+/// scans, no fit, and so no pool fan-out of its own (partition outputs are
+/// lookups into one pass's cut snapshots). The release path (partition
+/// outputs, enforcer, clamp, noise) is intact, so a hinted run releases
+/// bit-identically to an un-hinted run with the same seed and registry.
 struct SensitivityHint {
   double local_sensitivity = 0.0;
   Interval out_range;
@@ -144,7 +147,9 @@ class UpaRunner {
   /// Executes one query end-to-end. `seed` drives sampling, synthetic
   /// domain records and noise; same (query, seed) → same result.
   /// With `hint`, reuses a previously inferred sensitivity/output range
-  /// instead of computing them (see SensitivityHint).
+  /// instead of computing them, and skips the domain run and the
+  /// neighbour outputs that only feed that inference (see
+  /// SensitivityHint).
   Result<UpaRunResult> Run(const QueryInstance& query, uint64_t seed,
                            const SensitivityHint* hint = nullptr);
 

@@ -103,7 +103,9 @@ QueryInstance MakeSimpleQuery(SimpleQuerySpec<Record> spec) {
           .Collect();
     });
 
-    // Synthetic domain records (D \ x side of the neighbour sampling).
+    // Synthetic domain records (D \ x side of the neighbour sampling);
+    // none on a sensitivity-cache hit.
+    if (num_domain == 0) return out;
     Rng domain_rng = Rng::ForStream(seed, "upa/domain/" + spec.name);
     std::vector<Record> domain;
     domain.reserve(num_domain);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -187,6 +188,74 @@ TEST(RngTest, SampleWithoutReplacementIsUniform) {
     EXPECT_NEAR(counts[i] / static_cast<double>(kTrials), 0.25, 0.02)
         << "index " << i;
   }
+}
+
+// Golden outputs of SampleWithoutReplacement, recorded from the
+// unordered_set + sort implementation it replaced: the UPA sampler stream
+// feeds every release, so the indices, their order and the number of
+// draws consumed (seen through the next NextU32) must never move. Small
+// cases list every index; the k = 1000 cases (the default sample size,
+// over populations the size of a 5,000-order and an 80,769-lineitem
+// table) are pinned by an FNV-1a digest of the indices' bytes plus both
+// ends.
+uint64_t IndexDigest(const std::vector<size_t>& indices) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t v : indices) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (static_cast<uint64_t>(v) >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+std::vector<size_t> SampleGolden(size_t n, size_t k, uint32_t* next) {
+  Rng rng = Rng::ForStream(
+      2024, "golden/" + std::to_string(n) + "/" + std::to_string(k));
+  std::vector<size_t> out = rng.SampleWithoutReplacement(n, k);
+  *next = rng.NextU32();
+  return out;
+}
+
+TEST(RngTest, SampleWithoutReplacementGoldenSmall) {
+  uint32_t next = 0;
+  EXPECT_TRUE(SampleGolden(65, 0, &next).empty());
+  EXPECT_EQ(next, 1305029061u);
+
+  std::vector<size_t> all(64);
+  for (size_t i = 0; i < 64; ++i) all[i] = i;
+  EXPECT_EQ(SampleGolden(64, 64, &next), all);
+  EXPECT_EQ(next, 174523777u);
+
+  EXPECT_EQ(SampleGolden(63, 7, &next),
+            (std::vector<size_t>{3, 21, 27, 40, 48, 53, 61}));
+  EXPECT_EQ(next, 4074879213u);
+
+  // 65 choose 64 leaves out exactly index 32; the draw crosses a bitmap
+  // word boundary (index 64).
+  std::vector<size_t> all_but_32;
+  for (size_t i = 0; i < 65; ++i) {
+    if (i != 32) all_but_32.push_back(i);
+  }
+  EXPECT_EQ(SampleGolden(65, 64, &next), all_but_32);
+  EXPECT_EQ(next, 2074188082u);
+}
+
+TEST(RngTest, SampleWithoutReplacementGoldenDefaultSampleSize) {
+  uint32_t next = 0;
+  std::vector<size_t> orders = SampleGolden(5000, 1000, &next);
+  ASSERT_EQ(orders.size(), 1000u);
+  EXPECT_EQ(orders.front(), 5u);
+  EXPECT_EQ(orders.back(), 4997u);
+  EXPECT_EQ(IndexDigest(orders), 0x12202b4bc23c4164ULL);
+  EXPECT_EQ(next, 2182760397u);
+
+  std::vector<size_t> lineitem = SampleGolden(80769, 1000, &next);
+  ASSERT_EQ(lineitem.size(), 1000u);
+  EXPECT_EQ(lineitem.front(), 45u);
+  EXPECT_EQ(lineitem.back(), 80757u);
+  EXPECT_EQ(IndexDigest(lineitem), 0xbf498117fa7a7fcbULL);
+  EXPECT_EQ(next, 3513757981u);
 }
 
 TEST(RngTest, ShuffleIsPermutation) {

@@ -53,7 +53,8 @@ TEST(DeathTest, LaplaceRejectsNegativeSensitivity) {
 TEST(DeathTest, ExclusionRejectsEmptySample) {
   std::vector<core::Vec> empty;
   EXPECT_DEATH(
-      core::ExclusionAggregate(empty, core::ExclusionStrategy::kScan),
+      core::ExclusionAggregate(empty, core::ExclusionStrategy::kParallelScan,
+                               /*pool=*/nullptr),
       "empty sample");
 }
 

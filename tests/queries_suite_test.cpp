@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/stats.h"
+#include "queries/plan_query.h"
+#include "relational/sql_parser.h"
 
 namespace upa::queries {
 namespace {
@@ -216,6 +222,91 @@ TEST_F(SuiteTest, ReleasesLeaveTheContextBlockCacheAsTheyFoundIt) {
   }
   EXPECT_EQ(ctx.cache().size(), before);
   EXPECT_GT(ctx.metrics().Snapshot().cache_hits, hits_before);
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+// A sensitivity-cache hit runs only what its release reads: no domain run
+// and no neighbour outputs. Two runners with identically grown registries,
+// one fed the sensitivity the other inferred for the same seed, must
+// release the same bits on real TPC-H plans — including runs where the
+// enforcer removes records and runs into its cap.
+TEST_F(SuiteTest, HintedPlanReleasesMatchUnhintedBitForBit) {
+  const tpch::TpchDataset& data = suite_.tpch_data();
+  const rel::Catalog catalog = data.catalog();
+  // One context per side, so the hinted side's phase list is its own.
+  engine::ExecContext full_ctx(
+      engine::ExecConfig{.threads = 2, .default_partitions = 3});
+  engine::ExecContext hinted_ctx(
+      engine::ExecConfig{.threads = 2, .default_partitions = 3});
+  auto full_exec =
+      std::make_shared<const rel::PlanExecutor>(&full_ctx, &catalog);
+  auto hinted_exec =
+      std::make_shared<const rel::PlanExecutor>(&hinted_ctx, &catalog);
+
+  const std::vector<std::string> sqls = {
+      "SELECT COUNT(*) FROM orders WHERE o_orderdate < 1500",
+      "SELECT SUM(o_custkey) FROM orders WHERE o_orderdate >= 600",
+      "SELECT SUM(l_extendedprice) FROM orders JOIN lineitem ON o_orderkey = "
+      "l_orderkey WHERE o_orderdate < 1800",
+  };
+  std::vector<core::QueryInstance> full_queries, hinted_queries;
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    Result<rel::PlanPtr> plan = rel::ParseSql(sqls[i]);
+    ASSERT_TRUE(plan.ok()) << sqls[i] << ": " << plan.status().ToString();
+    tpch::TpchQuery query{"hinted" + std::to_string(i), plan.value(),
+                          "orders"};
+    full_queries.push_back(MakePlanQuery(&full_ctx, full_exec, &data, query));
+    hinted_queries.push_back(
+        MakePlanQuery(&hinted_ctx, hinted_exec, &data, query));
+  }
+
+  core::UpaConfig cfg = TestUpaConfig();
+  cfg.add_noise = true;
+  core::UpaRunner full(cfg), hinted(cfg);
+  // Two alternating seeds: each repeat of a (query, seed) pair must
+  // separate from every earlier registration, so removals grow run by run
+  // until they reach the cap.
+  std::vector<size_t> removing_runs(sqls.size()), capped_runs(sqls.size());
+  for (uint64_t round = 0; round < 32; ++round) {
+    for (size_t q = 0; q < sqls.size(); ++q) {
+      const uint64_t seed = 100 + round % 2;
+      auto a = full.Run(full_queries[q], seed);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      core::SensitivityHint hint{a.value().local_sensitivity,
+                                 a.value().out_range,
+                                 a.value().degenerate_sensitivity};
+      auto b = hinted.Run(hinted_queries[q], seed, &hint);
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      const core::UpaRunResult& x = a.value();
+      const core::UpaRunResult& y = b.value();
+      SCOPED_TRACE(sqls[q] + " round " + std::to_string(round));
+      EXPECT_EQ(std::bit_cast<uint64_t>(y.released_output),
+                std::bit_cast<uint64_t>(x.released_output));
+      EXPECT_EQ(std::bit_cast<uint64_t>(y.raw_output),
+                std::bit_cast<uint64_t>(x.raw_output));
+      EXPECT_EQ(Bits(y.partition_outputs), Bits(x.partition_outputs));
+      EXPECT_EQ(y.enforcer.records_removed, x.enforcer.records_removed);
+      EXPECT_EQ(y.enforcer.removal_capped, x.enforcer.removal_capped);
+      EXPECT_EQ(y.enforcer.attack_suspected, x.enforcer.attack_suspected);
+      EXPECT_TRUE(y.neighbour_outputs.empty());
+      EXPECT_EQ(y.metrics.phase_seconds.count("upa/plan_domain"), 0u);
+      EXPECT_EQ(x.metrics.phase_seconds.count("upa/plan_domain"), 1u);
+      if (x.enforcer.records_removed > 0) ++removing_runs[q];
+      if (x.enforcer.removal_capped) ++capped_runs[q];
+    }
+  }
+  EXPECT_EQ(hinted_ctx.metrics().Snapshot().phase_seconds.count(
+                "upa/plan_domain"),
+            0u);
+  for (size_t q = 0; q < sqls.size(); ++q) {
+    EXPECT_GT(removing_runs[q], 0u) << sqls[q];
+    EXPECT_GT(capped_runs[q], 0u) << sqls[q];
+  }
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "upa/simple_query.h"
@@ -144,6 +147,176 @@ TEST(UpaRunnerTest, SensitivityHintReleasesBitIdentically) {
   // The skipped work is observable: no neighbour outputs were computed.
   EXPECT_TRUE(fast.value().neighbour_outputs.empty());
   EXPECT_EQ(reference.value().neighbour_outputs.size(), 400u);
+}
+
+// The synthetic domain records only feed the neighbour outputs, so a
+// hinted run must not ask execute_phases for any.
+TEST(UpaRunnerTest, SensitivityHintAsksForNoDomainRecords) {
+  std::vector<size_t> asked;
+  QueryInstance query = CountQuery(3000, "count_domain_probe");
+  auto inner = std::move(query.execute_phases);
+  query.execute_phases = [inner, &asked](std::span<const size_t> sample,
+                                         size_t num_partitions,
+                                         size_t num_domain, uint64_t seed) {
+    asked.push_back(num_domain);
+    return inner(sample, num_partitions, num_domain, seed);
+  };
+
+  UpaRunner runner(NoNoiseConfig());
+  auto full = runner.Run(query, 4);
+  ASSERT_TRUE(full.ok());
+  SensitivityHint hint{full.value().local_sensitivity, full.value().out_range,
+                       full.value().degenerate_sensitivity};
+  auto hinted = runner.Run(query, 5, &hint);
+  ASSERT_TRUE(hinted.ok());
+  EXPECT_EQ(asked, (std::vector<size_t>{200, 0}));
+}
+
+// What one run's execute_phases returned, for brute-force oracles.
+struct CapturedPhases {
+  std::vector<size_t> sample;
+  MappedBatches batches;
+};
+
+QueryInstance Capturing(QueryInstance query,
+                        std::shared_ptr<CapturedPhases> captured) {
+  auto inner = std::move(query.execute_phases);
+  query.execute_phases = [inner, captured](std::span<const size_t> sample,
+                                           size_t num_partitions,
+                                           size_t num_domain, uint64_t seed) {
+    captured->sample.assign(sample.begin(), sample.end());
+    captured->batches = inner(sample, num_partitions, num_domain, seed);
+    return captured->batches;
+  };
+  return query;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+// Per-partition sample folds after `removed` newest-first removals: the
+// first n − min(removed, n) sample records, each partition folded from the
+// identity in sample order.
+std::vector<Vec> BruteSampleFolds(const CapturedPhases& c, size_t removed,
+                                  size_t num_partitions) {
+  const size_t n = c.sample.size();
+  const size_t keep = n - std::min(removed, n);
+  std::vector<Vec> folds(num_partitions, VecSum::Identity());
+  for (size_t j = 0; j < num_partitions; ++j) {
+    for (size_t i = 0; i < keep; ++i) {
+      if (c.sample[i] % num_partitions == j) {
+        folds[j] = VecSum::Combine(std::move(folds[j]), c.batches.sample_mapped[i]);
+      }
+    }
+  }
+  return folds;
+}
+
+std::vector<double> BrutePartitionOutputs(const QueryInstance& query,
+                                          const CapturedPhases& c,
+                                          size_t removed) {
+  const size_t parts = c.batches.sprime_partials.size();
+  std::vector<Vec> folds = BruteSampleFolds(c, removed, parts);
+  std::vector<double> outs(parts);
+  for (size_t j = 0; j < parts; ++j) {
+    outs[j] = query.OutputOf(
+        VecSum::Combine(c.batches.sprime_partials[j], folds[j]));
+  }
+  return outs;
+}
+
+// R(S') ⊕ R(kept sample): with no removal the sample folds in sample order;
+// after removals, partition by partition.
+Vec BruteReduced(const CapturedPhases& c, size_t removed) {
+  Vec r_sprime = VecSum::Identity();
+  for (const Vec& p : c.batches.sprime_partials) {
+    r_sprime = VecSum::Combine(std::move(r_sprime), p);
+  }
+  if (removed == 0) {
+    return VecSum::Combine(r_sprime, VecSum::Reduce(c.batches.sample_mapped));
+  }
+  Vec r_s = VecSum::Identity();
+  for (const Vec& f :
+       BruteSampleFolds(c, removed, c.batches.sprime_partials.size())) {
+    r_s = VecSum::Combine(std::move(r_s), f);
+  }
+  return VecSum::Combine(r_sprime, r_s);
+}
+
+// The runner's enforcer partials come from one pass that snapshots every
+// cut. For each k, the registry holds the brute-force outputs after 0, 2,
+// …, 2(k−1) removals, which walks the enforcer through k removal steps (or
+// to its cap); the runner's final outputs, removal count and reduced value
+// must equal an oracle enforcer's run over brute-force folds, bit for bit.
+// Returns every removal count the runs ended at.
+std::set<size_t> CheckCutsAgainstBruteForce(size_t records, size_t sample_n,
+                                            size_t max_removals) {
+  auto values = std::make_shared<std::vector<double>>();
+  Rng rng(records * 31 + max_removals);
+  for (size_t i = 0; i < records; ++i) {
+    values->push_back(rng.UniformDouble(1.0, 2.0));
+  }
+  UpaConfig cfg = NoNoiseConfig();
+  cfg.sample_n = sample_n;
+  auto captured = std::make_shared<CapturedPhases>();
+  QueryInstance query = Capturing(SumQuery(values, "cuts"), captured);
+  const uint64_t seed = 17;
+  {
+    UpaConfig probe_cfg = cfg;
+    probe_cfg.enable_enforcer = false;
+    EXPECT_TRUE(UpaRunner(probe_cfg).Run(query, seed).ok());
+  }
+  const CapturedPhases reference = *captured;
+  std::set<size_t> removal_counts;
+  for (size_t k = 0; k <= max_removals / 2 + 1; ++k) {
+    std::vector<std::vector<double>> priors;
+    for (size_t c = 0; c < k; ++c) {
+      priors.push_back(BrutePartitionOutputs(query, reference, 2 * c));
+    }
+    UpaRunner runner(cfg);
+    runner.share_enforcer(std::make_shared<RangeEnforcer>(1e-9, max_removals));
+    runner.enforcer().RestoreRegistry(priors);
+    auto result = runner.Run(query, seed);
+    EXPECT_TRUE(result.ok());
+    if (!result.ok()) return removal_counts;
+
+    RangeEnforcer oracle(1e-9, max_removals);
+    oracle.RestoreRegistry(priors);
+    std::vector<double> outs = BrutePartitionOutputs(query, reference, 0);
+    EnforcerDecision expected = oracle.Enforce(outs, [&](size_t removed) {
+      return BrutePartitionOutputs(query, reference, removed);
+    });
+    const UpaRunResult& r = result.value();
+    EXPECT_EQ(r.enforcer.records_removed, expected.records_removed) << "k=" << k;
+    EXPECT_EQ(r.enforcer.removal_capped, expected.removal_capped) << "k=" << k;
+    EXPECT_EQ(Bits(r.partition_outputs), Bits(outs)) << "k=" << k;
+    const Vec reduced = BruteReduced(reference, expected.records_removed);
+    EXPECT_EQ(Bits(r.reduced), Bits(reduced)) << "k=" << k;
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.raw_output),
+              std::bit_cast<uint64_t>(query.OutputOf(reduced)))
+        << "k=" << k;
+    removal_counts.insert(r.enforcer.records_removed);
+  }
+  return removal_counts;
+}
+
+TEST(UpaRunnerTest, EnforcerCutsMatchBruteForceFolds) {
+  // Full sample (sample order = index order): every cut drops one record
+  // of each partition, so k priors force exactly 2k removals up to the
+  // odd cap's largest even count.
+  EXPECT_EQ(CheckCutsAgainstBruteForce(/*records=*/40, /*sample_n=*/200,
+                                       /*max_removals=*/7),
+            (std::set<size_t>{0, 2, 4, 6}));
+  // n = 5 < max_removals: cuts past the sample keep no record, and the
+  // enforcer runs on to its cap.
+  std::set<size_t> small = CheckCutsAgainstBruteForce(5, 200, 64);
+  EXPECT_TRUE(small.count(2) && small.count(4) && small.count(64));
+  // A partial sample over a larger table, default and odd caps.
+  CheckCutsAgainstBruteForce(3000, 200, 64);
+  CheckCutsAgainstBruteForce(3000, 200, 7);
 }
 
 TEST(UpaRunnerTest, SharedEnforcerSeesOtherRunnersRegistrations) {
@@ -344,7 +517,9 @@ TEST(UpaRunnerTest, ParallelPhasesRecordPhaseTaskMetrics) {
   ASSERT_TRUE(tasks.count("upa/neighbour_eval"));
   EXPECT_GE(tasks.at("upa/neighbour_eval"), 1u);
   ASSERT_TRUE(tasks.count("upa/influence"));
-  ASSERT_TRUE(tasks.count("upa/partition_outputs"));
+  // Partition outputs are lookups into one pass's cut snapshots, with no
+  // pool fan-out of their own.
+  EXPECT_FALSE(tasks.count("upa/partition_outputs"));
 }
 
 // Degenerate queries: every record maps to the identity contribution, so

@@ -71,8 +71,8 @@ TEST(VecSumPropertyTest, CommutativeAndAssociative) {
 
 TEST(ExclusionTest, SingleElementExcludesToIdentity) {
   std::vector<Vec> mapped{{7.0}};
-  for (auto strategy : {ExclusionStrategy::kNaive, ExclusionStrategy::kScan,
-                        ExclusionStrategy::kParallelScan}) {
+  for (auto strategy :
+       {ExclusionStrategy::kNaive, ExclusionStrategy::kParallelScan}) {
     auto excl = ExclusionAggregate(mapped, strategy);
     ASSERT_EQ(excl.size(), 1u);
     EXPECT_EQ(excl[0], VecSum::Identity());
@@ -81,7 +81,7 @@ TEST(ExclusionTest, SingleElementExcludesToIdentity) {
 
 TEST(ExclusionTest, KnownSmallCase) {
   std::vector<Vec> mapped{{1.0}, {2.0}, {4.0}};
-  auto excl = ExclusionAggregate(mapped, ExclusionStrategy::kScan);
+  auto excl = ExclusionAggregate(mapped, ExclusionStrategy::kParallelScan);
   ASSERT_EQ(excl.size(), 3u);
   EXPECT_DOUBLE_EQ(excl[0][0], 6.0);
   EXPECT_DOUBLE_EQ(excl[1][0], 5.0);
@@ -105,8 +105,8 @@ TEST_P(ExclusionInvariantSweep, ExclusionPlusSelfIsTotal) {
     for (double& v : m) v = rng.UniformDouble(-10, 10);
   }
   Vec total = TotalAggregate(mapped);
-  for (auto strategy : {ExclusionStrategy::kNaive, ExclusionStrategy::kScan,
-                        ExclusionStrategy::kParallelScan}) {
+  for (auto strategy :
+       {ExclusionStrategy::kNaive, ExclusionStrategy::kParallelScan}) {
     auto excl = ExclusionAggregate(mapped, strategy);
     ASSERT_EQ(excl.size(), static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
@@ -124,7 +124,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1, 1}, std::pair{2, 1}, std::pair{7, 3},
                       std::pair{64, 2}, std::pair{200, 5}));
 
-// The strategies must agree to floating-point near-equality.
+// The strategies must agree to floating-point near-equality ("scan" is the
+// chunked scan without a pool, "par" the same on a 4-thread pool).
 class StrategyAgreementSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(StrategyAgreementSweep, NaiveEqualsScanEqualsParallelScan) {
@@ -136,7 +137,8 @@ TEST_P(StrategyAgreementSweep, NaiveEqualsScanEqualsParallelScan) {
     m[1] = rng.Normal(0, 3);
   }
   auto naive = ExclusionAggregate(mapped, ExclusionStrategy::kNaive);
-  auto scan = ExclusionAggregate(mapped, ExclusionStrategy::kScan);
+  auto scan =
+      ExclusionAggregate(mapped, ExclusionStrategy::kParallelScan, nullptr);
   ThreadPool pool(4);
   auto par = ExclusionAggregate(mapped, ExclusionStrategy::kParallelScan, &pool);
   ASSERT_EQ(naive.size(), scan.size());
